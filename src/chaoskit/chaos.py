@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .algebra import hermite
+from .algebra import _as_fraction, hermite
 from .wick import (
     CovSpec,
     GaussianPolynomial,
@@ -54,14 +54,6 @@ __all__ = [
     "max_contraction_norms",
     "mixed_term_bound_check",
 ]
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
 def _orbit_size(idx: tuple[int, ...]) -> int:
@@ -339,10 +331,12 @@ class ChaosElement:
     def compile(self) -> GaussianPolynomial:
         """Expand into an explicit polynomial of i.i.d. coordinates (cached)."""
         if self._compiled is None:
-            poly = GaussianPolynomial(CovSpec.identity(self.dimension), {})
+            terms: dict = {}
             for u in self.components.values():
-                poly = poly + multiple_integral(u)
-            self._compiled = poly
+                for exps, c in multiple_integral(u).terms.items():
+                    existing = terms.get(exps)
+                    terms[exps] = c if existing is None else existing + c
+            self._compiled = GaussianPolynomial(CovSpec.identity(self.dimension), terms)
         return self._compiled
 
     def scale(self, factor: Union[Fraction, int]) -> "ChaosElement":
@@ -407,7 +401,10 @@ def multiple_integral(u: SymTensor) -> GaussianPolynomial:
                         grown.append((e, c * hk))
             partial = grown
         for exps, c in partial:
-            key = tuple(exps.get(j, 0) for j in range(d))
+            key = [0] * d
+            for j, k in exps.items():
+                key[j] = k
+            key = tuple(key)
             acc[key] = acc.get(key, Fraction(0)) + c
     return GaussianPolynomial(cov, acc)
 

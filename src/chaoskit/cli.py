@@ -699,6 +699,25 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             return file_values[file_key]
         return default
 
+    def integer(flag_name: str, file_key: str, default) -> int:
+        value = pick(flag_name, file_key, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            parser.error(f"{file_key} must be an integer, got {value!r}")
+
+    n_grid = pick("n_grid", "n_grid", [4, 16, 64])
+    bad_grid = f"n_grid must be a list of integers, got {n_grid!r}"
+    if not isinstance(n_grid, list):
+        parser.error(bad_grid)
+    try:
+        n_grid = [int(n) for n in n_grid]
+    except (TypeError, ValueError):
+        parser.error(bad_grid)
+    output_path = pick("output", "output_path", None)
+    if output_path is not None and not isinstance(output_path, str):
+        parser.error(f"output_path must be a string, got {output_path!r}")
+
     env_seed = os.environ.get(SEED_ENV_VAR)
     default_seed = DEFAULT_SEED
     if env_seed is not None:
@@ -709,14 +728,14 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     config = RunConfig(
         command=args.command,
-        seed=int(pick("seed", "seed", default_seed)),
-        n_grid=[int(n) for n in pick("n_grid", "n_grid", [4, 16, 64])],
-        samples=int(pick("samples", "samples", 100_000)),
-        output_path=pick("output", "output_path", None),
+        seed=integer("seed", "seed", default_seed),
+        n_grid=n_grid,
+        samples=integer("samples", "samples", 100_000),
+        output_path=output_path,
         format=pick("format", "format", "csv"),
         family=pick("family", "family", "dyadic_p2"),
-        pairs=int(pick("pairs", "pairs", 50)),
-        grid_points=int(pick("grid_points", "grid_points", 201)),
+        pairs=integer("pairs", "pairs", 50),
+        grid_points=integer("grid_points", "grid_points", 201),
     )
 
     if not 0 <= config.seed < 2**64:
@@ -743,7 +762,12 @@ def main(argv=None) -> None:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = _build_config(args, parser)
-    sys.exit(run(config))
+    try:
+        code = run(config)
+    except OSError as exc:
+        # the suites compute in memory; the only file they touch is the report
+        parser.error(f"cannot write report: {exc}")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,21 +5,26 @@ Randomness contract
 All sampling is driven by numpy's Philox counter-based generator.  Draws are
 partitioned into chunks of ``max(1, 2**21 // dimension)`` rows; chunk ``c`` of
 a run with seed ``s`` uses ``SeedSequence(entropy=s, spawn_key=(c,))``, so the
-sample stream is a pure function of (seed, size, dimension) and identical
-whether chunks are produced serially or in parallel.  Uniforms are built as
-``(k + 0.5) * 2**-53`` from 53-bit integers, which keeps them strictly inside
-(0, 1); standard normals are obtained by inverse transform through a rational
-quantile approximation (``normal_quantile``) whose absolute error is below
-1e-9 over the full open interval.  The constant ``GENERATOR_ID`` names this
-whole scheme and is stamped on every SampleSet and report.
+sample stream is a pure function of (seed, size, dimension).  Chunks run on up
+to one thread per CPU available to the process; the worker count is derived
+from the machine, not configured, and since each chunk draws, transforms and
+evaluates into its own rows, the output is bitwise identical to a serial run.
+Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers, which keeps
+them strictly inside (0, 1); standard normals are obtained by inverse transform
+through a rational quantile approximation (``normal_quantile``) whose absolute
+error is below 1e-9 over the full open interval.  The constant
+``GENERATOR_ID`` names this whole scheme and is stamped on every SampleSet and
+report.
 
-Summation order inside every estimator is fixed (sorted terms, sequential
-chunks), so reports are byte-identical across runs with the same seed.
+Summation order inside every estimator is fixed (sorted terms, chunk rows in
+stream order), so reports are byte-identical across runs with the same seed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -95,14 +100,31 @@ _QUANT_F = (
 )
 
 
-def _ratpoly(r: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
-    p = np.full_like(r, num[-1])
-    for c in num[-2::-1]:
-        p = p * r + c
-    q = np.full_like(r, den[-1])
-    for c in den[-2::-1]:
-        q = q * r + c
-    return p / q
+_SLICE = 1 << 14
+
+
+def _ratpoly(r: np.ndarray, num: tuple, den: tuple, p=None, q=None) -> np.ndarray:
+    """num(r) / den(r) by Horner's rule, written into ``p`` (``q`` is scratch)."""
+    p = np.empty_like(r) if p is None else p
+    q = np.empty_like(r) if q is None else q
+    for coeffs, acc in ((num, p), (den, q)):
+        acc.fill(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            np.multiply(acc, r, out=acc)
+            np.add(acc, c, out=acc)
+    return np.divide(p, q, out=p)
+
+
+def _tail_quantile(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quantile at the entries with |p - 0.5| > 0.425 (or NaN); q = p - 0.5."""
+    pt = np.where(q < 0.0, p, 1.0 - p)
+    r = np.sqrt(-np.log(pt))
+    val = np.where(
+        r <= 5.0,
+        _ratpoly(np.minimum(r, 5.0) - 1.6, _QUANT_C, _QUANT_D),
+        _ratpoly(np.maximum(r, 5.0) - 5.0, _QUANT_E, _QUANT_F),
+    )
+    return np.where(q < 0.0, -val, val)
 
 
 def normal_quantile(p):
@@ -111,30 +133,32 @@ def normal_quantile(p):
     Rational minimax approximation in three regions (central, moderate tail,
     far tail); absolute error below 1e-9 everywhere, which the test suite
     checks against an independent implementation.
+
+    The flattened input is processed in slices of 2^14 values that stay in
+    cache: the central approximation is evaluated on the whole slice in
+    preallocated buffers, then only the tail entries are overwritten.  Every
+    value goes through the same floating-point operations in the same order
+    whatever the slicing, so the result does not depend on it.
     """
     p = np.asarray(p, dtype=np.float64)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    q = p - 0.5
-    out = np.empty_like(p)
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _ratpoly(r, _QUANT_A, _QUANT_B)
-
-    if not np.all(central):
-        tail = ~central
-        qt = q[tail]
-        pt = np.where(qt < 0.0, p[tail], 1.0 - p[tail])
-        r = np.sqrt(-np.log(pt))
-        val = np.where(
-            r <= 5.0,
-            _ratpoly(np.minimum(r, 5.0) - 1.6, _QUANT_C, _QUANT_D),
-            _ratpoly(np.maximum(r, 5.0) - 5.0, _QUANT_E, _QUANT_F),
-        )
-        out[tail] = np.where(qt < 0.0, -val, val)
+    flat = p.ravel()
+    out = np.empty(flat.shape)
+    width = min(flat.size, _SLICE)
+    q, r, num, den = np.empty((4, width))
+    for start in range(0, flat.size, _SLICE):
+        ps = flat[start : start + _SLICE]
+        k = ps.size
+        if np.any((ps <= 0.0) | (ps >= 1.0)):
+            raise ValueError("quantile argument must lie strictly inside (0, 1)")
+        qs = np.subtract(ps, 0.5, out=q[:k])
+        rs = np.multiply(qs, qs, out=r[:k])
+        np.subtract(0.180625, rs, out=rs)
+        ratio = _ratpoly(rs, _QUANT_A, _QUANT_B, num[:k], den[:k])
+        chunk = np.multiply(qs, ratio, out=out[start : start + k])
+        tail = np.flatnonzero(~(np.abs(qs) <= 0.425))
+        if tail.size:
+            chunk[tail] = _tail_quantile(ps[tail], qs[tail])
+    out = out.reshape(p.shape)
     return out if out.shape else float(out)
 
 
@@ -167,11 +191,21 @@ def _chunk_rows(dimension: int) -> int:
     return max(1, (1 << 21) // dimension)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _normal_chunk(seed: int, chunk_index: int, rows: int, dim: int) -> np.ndarray:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.Philox(ss))
     ints = gen.integers(0, 1 << 53, size=(rows, dim), dtype=np.int64)
-    u = (ints + 0.5) * (2.0**-53)
+    # (k + 0.5) * 2**-53, written over the integers' own buffer
+    u = np.add(ints, 0.5, out=ints.view(np.float64))
+    u *= 2.0**-53
     return normal_quantile(u)
 
 
@@ -186,7 +220,9 @@ def sample_gaussian_polynomial(
     Coordinates are sampled as i.i.d. standard normals and, when the
     covariance is not the identity, pushed through its (pivoted) Cholesky
     factor evaluated at ``assignment``.  Term coefficients must be numeric
-    after the same assignment.
+    after the same assignment.  Chunks run on a thread pool with one worker
+    per available CPU and at most one per chunk; with a single chunk or a
+    single CPU they run inline.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -203,9 +239,11 @@ def sample_gaussian_polynomial(
         terms.append((tuple((i, e) for i, e in enumerate(exps) if e), value))
 
     out = np.empty(n, dtype=np.float64)
-    rows = _chunk_rows(d)
-    for chunk, start in enumerate(range(0, n, rows)):
-        stop = min(start + rows, n)
+    starts = range(0, n, _chunk_rows(d))
+
+    def fill(chunk: int) -> None:
+        start = starts[chunk]
+        stop = min(start + starts.step, n)
         z = _normal_chunk(seed, chunk, stop - start, d)
         x = z if factor is None else z @ factor.T
         acc = np.zeros(stop - start, dtype=np.float64)
@@ -213,9 +251,19 @@ def sample_gaussian_polynomial(
             term = np.full(stop - start, value)
             for i, e in support:
                 col = x[:, i]
-                term = term * (col if e == 1 else col**e)
+                term *= col if e == 1 else col**e
             acc += term
         out[start:stop] = acc
+
+    chunks = range(len(starts))
+    workers = min(_available_cpus(), len(chunks))
+    if workers == 1:
+        for chunk in chunks:
+            fill(chunk)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(fill, chunks):
+                pass
     return SampleSet(values=out, seed=int(seed))
 
 

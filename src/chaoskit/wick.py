@@ -284,12 +284,12 @@ class GaussianPolynomial:
         self.cov = cov
         cleaned: dict[tuple[int, ...], ParamPoly] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != cov.dimension:
                 raise ValueError(
                     f"exponent tuple {exps!r} does not match dimension {cov.dimension}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError("negative exponent")
             coeff = _coerce_entry(coeff)
             if not coeff.is_zero:

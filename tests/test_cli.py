@@ -280,6 +280,30 @@ def test_config_file_must_be_object(tmp_path):
     assert run_main(["lemma-suite", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"samples": "abc"}, "samples must be an integer"),
+        ({"n_grid": "4,16"}, "n_grid must be a list of integers"),
+        ({"n_grid": [4, "x"]}, "n_grid must be a list of integers"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"output_path": 5}, "output_path must be a string"),
+    ],
+)
+def test_config_file_bad_values_exit_2(tmp_path, capsys, values, message):
+    config_path = tmp_path / "conf.json"
+    config_path.write_text(json.dumps(values))
+    assert run_main(["clt", "--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing_dir/r.csv", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / where
+    assert run_main(["positivity", "--grid-points", "3", "--output", str(target)]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
 def test_default_output_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_main(["positivity"]) == EXIT_OK

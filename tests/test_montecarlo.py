@@ -1,7 +1,9 @@
 """Sampling layer: quantile function, reproducibility, estimators, kernel
 families, and the simulation experiment driver."""
 
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoskit import montecarlo
 from chaoskit.chaos import ChaosElement, SymTensor, gamma_variance, kappa4_exact
 from chaoskit.montecarlo import (
     FAMILY_NAMES,
@@ -75,6 +78,63 @@ def test_quantile_rejects_boundary():
         normal_quantile(np.array([0.2, 1.5]))
 
 
+def _whole_array_as241(p):
+    """AS241 on the whole array at once, split by boolean masks: the
+    evaluation that produced the v1 stream, kept as the bitwise reference."""
+
+    def ratpoly(r, num, den):
+        a = np.full_like(r, num[-1])
+        for c in num[-2::-1]:
+            a = a * r + c
+        b = np.full_like(r, den[-1])
+        for c in den[-2::-1]:
+            b = b * r + c
+        return a / b
+
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * ratpoly(0.180625 - qc * qc, montecarlo._QUANT_A, montecarlo._QUANT_B)
+    tail = ~central
+    qt = q[tail]
+    r = np.sqrt(-np.log(np.where(qt < 0.0, p[tail], 1.0 - p[tail])))
+    val = np.where(
+        r <= 5.0,
+        ratpoly(np.minimum(r, 5.0) - 1.6, montecarlo._QUANT_C, montecarlo._QUANT_D),
+        ratpoly(np.maximum(r, 5.0) - 5.0, montecarlo._QUANT_E, montecarlo._QUANT_F),
+    )
+    out[tail] = np.where(qt < 0.0, -val, val)
+    return out
+
+
+def test_quantile_bitwise_equal_to_whole_array_evaluation():
+    # v1 uniforms over several 2^14-value slices, plus explicit points in all
+    # three regions: central (|p - 1/2| <= 0.425), r <= 5 and the far tail
+    # (r > 5, i.e. p < exp(-25)) down to 2^-53 and up to 1 - 2^-53
+    gen = np.random.Generator(np.random.Philox(7))
+    u = (gen.integers(0, 1 << 53, size=3 * (1 << 14) + 123, dtype=np.int64) + 0.5) * 2.0**-53
+    far = np.geomspace(2.0**-53, 1e-12, 200)
+    moderate = np.geomspace(1e-10, 0.07, 200)
+    central = np.linspace(0.076, 0.924, 200)
+    p = np.concatenate([far, moderate, central, u, 1.0 - moderate, 1.0 - far])
+    radius = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    assert np.any(np.abs(p - 0.5) <= 0.425)
+    assert np.any((np.abs(p - 0.5) > 0.425) & (radius <= 5.0))
+    assert np.any(radius > 5.0)
+    assert p.size > 3 * (1 << 14)
+
+    ours = normal_quantile(p)
+    assert ours.tobytes() == _whole_array_as241(p).tobytes()
+
+    square = p[: 125 * 400].reshape(125, 400)
+    assert normal_quantile(square).shape == (125, 400)
+    assert normal_quantile(square).tobytes() == ours[: 125 * 400].tobytes()
+    scalar = normal_quantile(0.975)
+    assert type(scalar) is float
+    assert scalar == _whole_array_as241(np.array([0.975]))[0]
+
+
 def test_cdf_with_scale():
     assert abs(normal_cdf(0.0, sigma=3.0) - 0.5) < 1e-15
     assert abs(normal_cdf(3.0, sigma=3.0) - normal_cdf(1.0)) < 1e-15
@@ -103,6 +163,59 @@ def test_sampling_is_prefix_stable_across_chunks():
     short = sample_chaos(x, rows, seed=11)
     longer = sample_chaos(x, rows + 5, seed=11)
     assert np.array_equal(longer.values[:rows], short.values)
+
+
+# SHA-256 of v1 sample streams at seed 42, recorded with the whole-array
+# quantile and chunks run one after another.
+V1_FIRST_CHUNK_SHA256 = "f3ce8f1b51c646bee4c8faf533fbf782bad6cef63366359688a6972782123997"
+V1_DYADIC_512_SHA256 = "233b3425f737c717bc3696500d17108b071574409efa69372f4fb0336d139b14"
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_v1_stream_first_chunk_digest():
+    assert GENERATOR_ID == "philox4x64/u53-halfstep/inverse-cdf-as241/chunk2^21:v1"
+    f = GaussianPolynomial.coordinate(CovSpec.identity(1), 0)
+    values = sample_gaussian_polynomial(f, 1 << 21, seed=42).values
+    assert _sha256(values) == V1_FIRST_CHUNK_SHA256
+
+
+def test_v1_stream_multichunk_wide_digest():
+    element = family_point("dyadic_p2", 512).scaled.element
+    assert element.dimension == 1024  # 2^21 // 1024 = 2048 rows: 8 chunks
+    values = sample_chaos(element, 1 << 14, seed=42).values
+    assert _sha256(values) == V1_DYADIC_512_SHA256
+
+
+def test_threaded_chunks_match_serial(monkeypatch):
+    # 5 chunks of 2^21 // 40 rows, on one thread and then on more threads
+    # than this machine may have cores, switching threads as often as it can;
+    # f has a correlated covariance, so each chunk also goes through a matmul
+    entries = [[Fraction(int(i == j)) for j in range(40)] for i in range(40)]
+    entries[0][1] = entries[1][0] = Fraction(1, 2)
+    f = GaussianPolynomial(
+        CovSpec(entries), {(1,) * 40: 1, (2,) + (0,) * 39: Fraction(1, 3)}
+    )
+    x = ChaosElement(40, {2: SymTensor(40, 2, {(0, 1): 1, (3, 3): Fraction(1, 2)})})
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 3):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+            results.append(
+                (
+                    sample_gaussian_polynomial(f, 250_000, seed=8).values,
+                    sample_chaos(x, 250_000, seed=8).values,
+                )
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    (serial_f, serial_x), (threaded_f, threaded_x) = results
+    assert serial_f.tobytes() == threaded_f.tobytes()
+    assert serial_x.tobytes() == threaded_x.tobytes()
 
 
 def test_h2_sample_mean_band():
