@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .algebra import _as_fraction, hermite
 from .wick import (
@@ -371,6 +371,14 @@ class HVector:
         if len(self.entries) != self.dimension:
             raise ValueError("entry count must equal the dimension")
 
+    def inner(self, other: "HVector") -> GaussianPolynomial:
+        """Pointwise inner product sum_i self_i * other_i."""
+        total = GaussianPolynomial(CovSpec.identity(self.dimension), {})
+        for a, b in zip(self.entries, other.entries):
+            if not (a.is_zero or b.is_zero):
+                total = total + a * b
+        return total
+
 
 def multiple_integral(u: SymTensor) -> GaussianPolynomial:
     """I_p(u) as a polynomial of i.i.d. standard Gaussian coordinates.
@@ -447,33 +455,23 @@ def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_gradient(X: ChaosElement, weight) -> list[GaussianPolynomial]:
-    """Per-coordinate gradient with an order-dependent scalar weight.
-
-    weight(p) = p gives the derivative D; weight(p) = 1 gives -D L^{-1}.
-    """
-    d = X.dimension
-    cov = CovSpec.identity(d)
-    out = []
-    for i in range(d):
+def malliavin_derivative(X: ChaosElement) -> HVector:
+    """The gradient D X; coordinate i is sum_p p * I_{p-1}(u_p(., e_i))."""
+    cov = CovSpec.identity(X.dimension)
+    entries = []
+    for i in range(X.dimension):
         poly = GaussianPolynomial(cov, {})
         for p, u in X.components.items():
-            w = weight(p)
             if p == 1:
                 c = u.coeffs.get((i,))
                 if c:
-                    poly = poly + GaussianPolynomial.constant(cov, w * c)
+                    poly = poly + GaussianPolynomial.constant(cov, c)
             else:
                 slot = u.slot(i)
                 if not slot.is_zero:
-                    poly = poly + multiple_integral(slot) * w
-        out.append(poly)
-    return out
-
-
-def malliavin_derivative(X: ChaosElement) -> HVector:
-    """The gradient D X; coordinate i is sum_p p * I_{p-1}(u_p(., e_i))."""
-    return HVector(X.dimension, tuple(_coordinate_gradient(X, lambda p: p)))
+                    poly = poly + multiple_integral(slot) * p
+        entries.append(poly)
+    return HVector(X.dimension, tuple(entries))
 
 
 def ou_apply(X: ChaosElement) -> ChaosElement:
@@ -493,15 +491,8 @@ def ou_inverse(X: ChaosElement) -> ChaosElement:
 
 def gamma(X: ChaosElement) -> GaussianPolynomial:
     """Carre-du-champ gamma(X) = <DX, -D L^{-1} X>, oriented so E[gamma] = Var X."""
-    dx = _coordinate_gradient(X, lambda p: p)
-    anti = _coordinate_gradient(X, lambda p: 1)
-    cov = CovSpec.identity(X.dimension)
-    total = GaussianPolynomial(cov, {})
-    for a, b in zip(dx, anti):
-        if a.is_zero or b.is_zero:
-            continue
-        total = total + a * b
-    return total
+    anti = malliavin_derivative(ou_inverse(X).scale(-1))  # -D L^{-1} X
+    return malliavin_derivative(X).inner(anti)
 
 
 def gamma_variance(X: ChaosElement) -> Fraction:
@@ -610,7 +601,8 @@ class MixedTermBound:
 def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
     """Check the cross-term estimate for kernels of orders p < q.
 
-    lhs = E[(q^{-1} <D I_p(u), D I_q(v)>)^2], computed exactly.  The bound is
+    lhs = E[(q^{-1} <D I_p(u), D I_q(v)>)^2], computed exactly from
+    :func:`malliavin_derivative`.  The bound is
 
         p!^2 C(q-1, p-1)^2 (q-p)! |u|^2 |v (x)_{q-p} v|
         + (p^2/2) sum_{r=1}^{p-1} (r-1)!^2 C(p-1, r-1)^2 C(q-1, r-1)^2
@@ -625,24 +617,9 @@ def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
         raise ValueError(f"requires p < q, got p={p}, q={q}")
     if u.dimension != v.dimension:
         raise ValueError("kernels must share a dimension")
-    d = u.dimension
-    cov = CovSpec.identity(d)
-
-    g = GaussianPolynomial(cov, {})
-    for i in range(d):
-        if p == 1:
-            c = u.coeffs.get((i,))
-            left = GaussianPolynomial.constant(cov, c) if c else None
-        else:
-            slot = u.slot(i)
-            left = multiple_integral(slot) if not slot.is_zero else None
-        if left is None:
-            continue
-        vslot = v.slot(i)
-        if vslot.is_zero:
-            continue
-        g = g + left * multiple_integral(vslot)
-    g = g * p
+    du = malliavin_derivative(ChaosElement(u.dimension, {p: u}))
+    dv = malliavin_derivative(ChaosElement(v.dimension, {q: v}))
+    g = du.inner(dv) * Fraction(1, q)
     lhs = expectation_of_product(g, g).constant_value()
 
     A = (

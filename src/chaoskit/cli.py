@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import random
 import sys
@@ -134,23 +133,13 @@ def _exact_to_json(value):
     return value
 
 
-def _exact_to_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return _decimal_str(value)
-    if isinstance(value, ParamPoly):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _field_to_csv(value) -> str:
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return _decimal_str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -312,14 +301,15 @@ def _suite_positivity(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
     a = ParamPoly.variable("a")
     second_ok = second == a * a + 120
     at_a0 = cert.kappa4_poly.substitute("a", 0)
-    at_a0_ok = at_a0.is_constant and at_a0.constant_value() == 66960000
+    at_a0_value = at_a0.constant_value() if at_a0.is_constant else at_a0
+    at_a0_ok = at_a0_value == 66960000
     report.exact_values.update(
         {
             "kappa4_poly": cert.kappa4_poly,
             "second_moment_poly": second,
             "discriminant_poly": cert.discriminant_poly,
             "radicand_poly": cert.radicand_poly,
-            "kappa4_at_a0": at_a0.constant_value() if at_a0.is_constant else at_a0,
+            "kappa4_at_a0": at_a0_value,
             "grid_min": cert.grid_min,
         }
     )
@@ -343,7 +333,7 @@ def _suite_positivity(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
             verdict=cert.symbolic_nonpositive,
         ),
         Row(s, "radicand_poly", exact_value=cert.radicand_poly),
-        Row(s, "kappa4_at_a0", exact_value=Fraction(66960000), verdict=at_a0_ok),
+        Row(s, "kappa4_at_a0", exact_value=at_a0_value, verdict=at_a0_ok),
         Row(
             s,
             "grid_min",
@@ -533,15 +523,11 @@ def _suite_clt(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
             rows.append(
                 Row("clt", "max_contraction", n=n, estimate=report.exact_values[key])
             )
-    for name in (
-        "kappa4_decreasing",
-        "w1_trend",
-        "contraction_decreasing",
-        "ks_decreasing",
-        "ks_small_at_max",
-    ):
-        if name in report.verdicts:
-            rows.append(Row("clt", name, verdict=report.verdicts[name]))
+    rows.extend(
+        Row("clt", name, verdict=value)
+        for name, value in report.verdicts.items()
+        if "[n=" not in name
+    )
     return report, rows
 
 
@@ -582,18 +568,7 @@ def _rows_to_csv(rows: list[Row]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row.suite,
-                row.quantity,
-                _field_to_csv(row.n),
-                _exact_to_csv(row.exact_value),
-                _field_to_csv(row.estimate),
-                _field_to_csv(row.std_error),
-                _field_to_csv(row.bound),
-                _field_to_csv(row.verdict),
-            ]
-        )
+        writer.writerow([_csv_cell(getattr(row, name)) for name in CSV_COLUMNS])
     return buffer.getvalue()
 
 
@@ -604,7 +579,7 @@ def _print_summary(report: ExperimentReport, rows: list[Row], path: str) -> None
     print(header)
     print("-" * len(header))
     for row in rows:
-        exact = _exact_to_csv(row.exact_value)
+        exact = _csv_cell(row.exact_value)
         if len(exact) > 22:
             exact = exact[:19] + "..."
         estimate = "" if row.estimate is None else f"{row.estimate:.6g}"

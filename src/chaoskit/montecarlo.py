@@ -32,7 +32,13 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .chaos import ChaosElement, SymTensor, contract, gamma_variance, kappa4_exact
+from .chaos import (
+    ChaosElement,
+    SymTensor,
+    gamma_variance,
+    kappa4_exact,
+    max_contraction_norms,
+)
 from .wick import GaussianPolynomial
 
 __all__ = [
@@ -470,12 +476,10 @@ class FamilyPoint:
 
     def max_contraction(self) -> float:
         """Largest nontrivial contraction norm among scaled components."""
-        best = 0.0
-        for u in self.scaled.element.components.values():
-            for r in range(1, u.order):
-                norm = math.sqrt(float(contract(u, u, r).norm_sq()))
-                best = max(best, float(self.scaled.scale_sq) * norm)
-        return best
+        return max(
+            float(self.scaled.scale_sq) * max_contraction_norms(u)
+            for u in self.scaled.element.components.values()
+        )
 
 
 def family_point(family: str, n: int) -> FamilyPoint:

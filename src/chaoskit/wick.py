@@ -48,19 +48,13 @@ def gaussian_moment_1d(k: int) -> int:
     return 1 if k == 0 else double_factorial(k - 1)
 
 
-def _coerce_entry(value) -> ParamPoly:
-    if isinstance(value, ParamPoly):
-        return value
-    return ParamPoly.constant(value)
-
-
 class CovSpec:
     """Symmetric covariance matrix whose entries are exact ParamPoly values."""
 
     __slots__ = ("dimension", "entries", "_moment_cache", "_is_identity")
 
     def __init__(self, entries: Sequence[Sequence[Union[ParamPoly, int, Fraction]]]):
-        rows = [tuple(_coerce_entry(v) for v in row) for row in entries]
+        rows = [tuple(ParamPoly._coerce(v) for v in row) for row in entries]
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise ValueError("covariance entries must form a square matrix")
@@ -96,7 +90,7 @@ class CovSpec:
     @classmethod
     def bivariate(cls, rho: Union[ParamPoly, int, Fraction, None] = None) -> "CovSpec":
         """Unit-variance pair with correlation ``rho`` (symbolic by default)."""
-        r = ParamPoly.variable("rho") if rho is None else _coerce_entry(rho)
+        r = ParamPoly.variable("rho") if rho is None else ParamPoly._coerce(rho)
         one = ParamPoly.constant(1)
         return cls([[one, r], [r, one]])
 
@@ -192,30 +186,19 @@ def _moment(cov: CovSpec, multidegree: tuple[int, ...]) -> ParamPoly:
             if e:
                 value *= gaussian_moment_1d(e)
         result = ParamPoly.constant(value)
+    elif not any(multidegree):
+        result = ParamPoly.constant(1)
     else:
-        result = _pairing_recursion(cov, multidegree)
+        # Pair the first remaining factor with every other factor.
+        i = next(k for k, e in enumerate(multidegree) if e)
+        beta = multidegree[:i] + (multidegree[i] - 1,) + multidegree[i + 1 :]
+        result = ParamPoly()
+        for k, remaining in enumerate(beta):
+            if remaining:
+                reduced = beta[:k] + (remaining - 1,) + beta[k + 1 :]
+                result = result + remaining * cov.entries[i][k] * _moment(cov, reduced)
     cov._moment_cache[multidegree] = result
     return result
-
-
-def _pairing_recursion(cov: CovSpec, md: tuple[int, ...]) -> ParamPoly:
-    total = sum(md)
-    if total == 0:
-        return ParamPoly.constant(1)
-    if total % 2:
-        return ParamPoly()
-    cached = cov._moment_cache.get(md)
-    if cached is not None:
-        return cached
-    i = next(k for k, e in enumerate(md) if e)
-    beta = md[:i] + (md[i] - 1,) + md[i + 1 :]
-    acc = ParamPoly()
-    for k, remaining in enumerate(beta):
-        if remaining:
-            reduced = beta[:k] + (remaining - 1,) + beta[k + 1 :]
-            acc = acc + remaining * cov.entries[i][k] * _pairing_recursion(cov, reduced)
-    cov._moment_cache[md] = acc
-    return acc
 
 
 def gaussian_moment(multidegree: Sequence[int], cov: CovSpec) -> ParamPoly:
@@ -291,7 +274,7 @@ class GaussianPolynomial:
                 )
             if min(exps) < 0:
                 raise ValueError("negative exponent")
-            coeff = _coerce_entry(coeff)
+            coeff = ParamPoly._coerce(coeff)
             if not coeff.is_zero:
                 existing = cleaned.get(exps)
                 cleaned[exps] = coeff if existing is None else existing + coeff
@@ -299,7 +282,7 @@ class GaussianPolynomial:
 
     @classmethod
     def constant(cls, cov: CovSpec, value) -> "GaussianPolynomial":
-        return cls(cov, {(0,) * cov.dimension: _coerce_entry(value)})
+        return cls(cov, {(0,) * cov.dimension: ParamPoly._coerce(value)})
 
     @classmethod
     def coordinate(cls, cov: CovSpec, index: int, power: int = 1) -> "GaussianPolynomial":
@@ -341,7 +324,7 @@ class GaussianPolynomial:
     def __mul__(self, other) -> "GaussianPolynomial":
         if not isinstance(other, GaussianPolynomial):
             # scalar (int / Fraction / ParamPoly) scaling
-            scale = _coerce_entry(other)
+            scale = ParamPoly._coerce(other)
             return GaussianPolynomial(
                 self.cov, {e: c * scale for e, c in self.terms.items()}
             )
@@ -454,19 +437,13 @@ def cumulant(f: GaussianPolynomial, order: int) -> ParamPoly:
         raise DegreeCapError(
             f"order {order} of a degree-{degree} functional exceeds cap {DEGREE_CAP}"
         )
-    raw: dict[int, ParamPoly] = {1: expectation(f)}
-    if order >= 2:
-        raw[2] = expectation_of_product(f, f)
-    if order >= 3:
-        f2 = f * f
-        raw[3] = expectation_of_product(f2, f)
-    if order >= 4:
-        raw[4] = expectation_of_product(f2, f2)
-    if order >= 5:
-        f3 = f2 * f
-        raw[5] = expectation_of_product(f2, f3)
-    if order >= 6:
-        raw[6] = expectation_of_product(f3, f3)
+    powers = [GaussianPolynomial.constant(f.cov, 1), f]
+    while len(powers) <= (order + 1) // 2:
+        powers.append(powers[-1] * f)
+    raw = {
+        n: expectation_of_product(powers[(n + 1) // 2], powers[n // 2])
+        for n in range(1, order + 1)
+    }
     kappa: dict[int, ParamPoly] = {}
     for n in range(1, order + 1):
         acc = raw[n]

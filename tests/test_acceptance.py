@@ -28,6 +28,7 @@ from chaoskit.chaos import (
     multiple_integral,
     product_formula_expand,
 )
+from chaoskit.cli import _poly_in_rho, _random_mixed_parity_pair, _random_sym_tensor
 from chaoskit.counterexamples import (
     counterexample_h1h3,
     h1h5_positivity_certificate,
@@ -57,21 +58,6 @@ def report(num: int, ok: bool, text: str, *notes: str) -> None:
         print("    " + note)
 
 
-def rho_poly(*coeffs):
-    return ParamPoly(("rho",), {(k, ): c for k, c in enumerate(coeffs)})
-
-
-def random_kernel(rng: random.Random, d: int, order: int) -> SymTensor:
-    while True:
-        coeffs = {}
-        for _ in range(rng.randint(1, 3)):
-            idx = tuple(sorted(rng.randrange(d) for _ in range(order)))
-            coeffs[idx] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        tensor = SymTensor(d, order, coeffs)
-        if not tensor.is_zero:
-            return tensor
-
-
 _PAIR_SUITE: dict = {}
 
 
@@ -79,12 +65,7 @@ def mixed_parity_pairs():
     """The shared 50-pair corpus for criteria 5 and 6 (one generation)."""
     if not _PAIR_SUITE:
         rng = random.Random(20240515)
-        pairs = []
-        for _ in range(50):
-            d = rng.randint(2, 4)
-            p = rng.randint(1, 4)
-            q = rng.choice([o for o in (1, 2, 3, 4) if (o - p) % 2 == 1])
-            pairs.append((random_kernel(rng, d, p), random_kernel(rng, d, q)))
+        pairs = [_random_mixed_parity_pair(rng) for _ in range(50)]
         start = time.perf_counter()
         decompositions = [kappa4_decomposition(y, z) for y, z in pairs]
         _PAIR_SUITE["pairs"] = pairs
@@ -102,10 +83,10 @@ def test_criterion_01_exact_golden_values():
     goldens_ok = (
         rep.e2 == 106
         and 3 * rep.e2**2 == 33708
-        and rep.e4_poly == rho_poly(36948, 12960, 21600, 24000)
-        and rep.kappa4_poly == rho_poly(3240, 12960, 21600, 24000)
+        and rep.e4_poly == _poly_in_rho(36948, 12960, 21600, 24000)
+        and rep.kappa4_poly == _poly_in_rho(3240, 12960, 21600, 24000)
         and rep.e6_poly
-        == rho_poly(34330920, 62596800, 104328000, 102960000, 32400000)
+        == _poly_in_rho(34330920, 62596800, 104328000, 102960000, 32400000)
     )
     assert goldens_ok
 
@@ -252,8 +233,8 @@ def test_criterion_07_product_formula_and_isometry():
         d = rng.randint(2, 3)
         p = rng.randint(1, 3)
         q = rng.randint(1, 3)
-        u = random_kernel(rng, d, p)
-        v = random_kernel(rng, d, q)
+        u = _random_sym_tensor(rng, d, p)
+        v = _random_sym_tensor(rng, d, q)
         exp = product_formula_expand(u, v)
         direct = multiple_integral(u) * multiple_integral(v)
         rebuilt = exp.element.compile() + GaussianPolynomial.constant(
@@ -283,7 +264,7 @@ def test_criterion_08_stein_chain_head():
         d = rng.randint(2, 3)
         components = {}
         for order in rng.sample((1, 2, 3), k=rng.randint(1, 2)):
-            components[order] = random_kernel(rng, d, order)
+            components[order] = _random_sym_tensor(rng, d, order)
         x = ChaosElement(d, components)
         gamma_ok &= expectation(gamma(x)).constant_value() == x.variance()
 
@@ -318,7 +299,7 @@ def test_criterion_09_mixed_term_inequality():
         p = rng.randint(1, 3)
         q = rng.randint(p + 1, 4)
         result = mixed_term_bound_check(
-            random_kernel(rng, d, p), random_kernel(rng, d, q)
+            _random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)
         )
         all_hold &= result.holds
     witness = mixed_term_bound_check(

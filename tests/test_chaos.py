@@ -1,13 +1,17 @@
 """Symmetric tensors, multiple integrals, product formula, Malliavin-type
 operators, and the fourth-cumulant machinery."""
 
+import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoskit.algebra import ParamPoly
 from chaoskit.chaos import (
     ChaosElement,
     HVector,
@@ -29,12 +33,15 @@ from chaoskit.chaos import (
     stein_bound,
     symmetrize,
 )
+from chaoskit.cli import _random_chaos_element, _random_sym_tensor
+from chaoskit.montecarlo import FAMILY_NAMES, family_point
 from chaoskit.wick import (
     CovSpec,
     GaussianPolynomial,
     cumulant,
     expectation,
     expectation_of_product,
+    gaussian_moment,
 )
 
 HALF = Fraction(1, 2)
@@ -526,3 +533,60 @@ def test_mixed_term_bound_random(pair):
     u, v = pair
     result = mixed_term_bound_check(u, v)
     assert result.holds
+
+
+# ---------------------------------------------------------------------------
+# exact-engine digest
+# ---------------------------------------------------------------------------
+
+# SHA-256 over the exact values below, on the seeded generators of the CLI.
+EXACT_ENGINE_SHA256 = "bd02ab1c18270f3da37b9ca93ff3dc92e84f9ee94d6c61b7c5af5d47ad327299"
+
+
+def exact_engine_digest() -> str:
+    """Digest of Gamma terms, Var Gamma, cumulants 1-6, mixed-term bounds,
+    bivariate and 3-d moment tables and the family contraction norms."""
+    rng = random.Random(42)
+    digest = hashlib.sha256()
+
+    def put(value):
+        digest.update(repr(value).encode())
+        digest.update(b"\n")
+
+    for _ in range(6):
+        x = _random_chaos_element(rng)
+        put(sorted((e, c.constant_value()) for e, c in gamma(x).terms.items()))
+        put(gamma_variance(x))
+        f = x.compile()
+        put([cumulant(f, n).constant_value() for n in range(1, 7)])
+    for _ in range(8):
+        d = rng.randint(2, 4)
+        p = rng.randint(1, 3)
+        q = rng.randint(p + 1, 4)
+        result = mixed_term_bound_check(
+            _random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)
+        )
+        put((result.lhs, result.rhs.hex(), result.holds))
+
+    biv = CovSpec.bivariate()
+    u = GaussianPolynomial.coordinate(biv, 0)
+    v = GaussianPolynomial.coordinate(biv, 1)
+    f = 3 * u - v * v + u * v * Fraction(1, 2)
+    put([str(cumulant(f, n)) for n in range(1, 7)])
+    put([str(gaussian_moment((n, m), biv)) for n in range(11) for m in range(11 - n)])
+    a, b, c = (ParamPoly.variable(name) for name in "abc")
+    cov3 = CovSpec([[1, a, b], [a, 1, c], [b, c, 2]])
+    put(
+        [
+            str(gaussian_moment(md, cov3))
+            for md in itertools.product(range(5), repeat=3)
+            if sum(md) <= 8
+        ]
+    )
+    for family in FAMILY_NAMES:
+        put(family_point(family, 4).max_contraction().hex())
+    return digest.hexdigest()
+
+
+def test_exact_engine_digest():
+    assert exact_engine_digest() == EXACT_ENGINE_SHA256

@@ -1,11 +1,15 @@
 """Command-line behavior: configs, serialization, determinism, exit codes."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+
+from chaoskit import cli
 
 from chaoskit.cli import (
     CSV_COLUMNS,
@@ -125,6 +129,23 @@ def test_positivity_suite(tmp_path):
     assert payload["exact_values"]["radicand_poly"] == "-5700*a^2"
 
 
+def test_positivity_csv_writes_computed_kappa4_at_a0(tmp_path, monkeypatch):
+    real = cli.h1h5_positivity_certificate
+
+    def shifted(grid_points):
+        cert = real(grid_points)
+        return dataclasses.replace(cert, kappa4_poly=cert.kappa4_poly + 1)
+
+    monkeypatch.setattr(cli, "h1h5_positivity_certificate", shifted)
+    out = tmp_path / "pos.csv"
+    code = run_main(["positivity", "--grid-points", "11", "--output", str(out)])
+    assert code == EXIT_SUITE_FAILURE
+    row = next(
+        line for line in out.read_text().splitlines() if ",kappa4_at_a0," in line
+    )
+    assert row == "positivity,kappa4_at_a0,,66960001,,,,false"
+
+
 def test_clt_exact_kappa4_column(tmp_path):
     out = tmp_path / "clt.csv"
     config = RunConfig(
@@ -163,6 +184,33 @@ def test_clt_json_structure(tmp_path):
     assert "w1[n=2]" in payload["estimates"]
     point = payload["estimates"]["w1[n=2]"]
     assert set(point) == {"point", "std_error"}
+
+
+# SHA-256 of the report bytes at seed 42; clt runs its default family and
+# grid at 2000 samples.
+REPORT_SHA256 = {
+    ("counterexample", "csv"): "98ccfdd6917b524af4535f5612cedb8756749644bf8f5d67596d58b0b9d790b9",
+    ("counterexample", "json"): "5336eeae8fa8052b5c94e49a156b4814d4abb7fdbb21d9eaa4f1b5101a9393fe",
+    ("lemma-suite", "csv"): "4b099da95ba0113ec78e6ccc49c47bd481c7f3b51f541d391f6d18024e17aa3c",
+    ("lemma-suite", "json"): "4c7e6763b334be69e8239f64a92552e65ef78a59a977f5980fbbc0c54c997684",
+    ("bounds-suite", "csv"): "8127a57dc00008e2683f1f6f079e1c8ba7c81725f1f01ef1d4c2f8aab48aaacd",
+    ("bounds-suite", "json"): "fdc483194b6ec171b47bee178f189b37b4d3a1808a371f094b272e29ddd01bfc",
+    ("clt", "csv"): "30a104223bd87491c689c0d9872aef87a4caae7871d9803ab5b32d289f0898a0",
+    ("clt", "json"): "647dfce9e5ffa04fcc76eb50d6b1ed982bb13a4a7e154ad537d43792d1f70ca1",
+    ("positivity", "csv"): "d428720777e880333ae92c770be1e527bf6678f7b1d7fa343ec93cbe8f612880",
+    ("positivity", "json"): "c865d9dab293b3066e38e2d5a0e7151f8eaac684537ecd212742f643879e5942",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(REPORT_SHA256))
+def test_report_bytes_golden(tmp_path, command, fmt):
+    out = tmp_path / f"report.{fmt}"
+    config = RunConfig(command=command, seed=42, format=fmt, output_path=str(out))
+    if command == "clt":
+        config.samples = 2000
+    assert run(config) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[(command, fmt)]
 
 
 def test_unknown_command_rejected():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from chaoskit.algebra import ParamPoly, param_eval, real_roots
+from chaoskit.cli import _poly_in_rho
 from chaoskit.counterexamples import (
     CounterexampleReport,
     counterexample_h1h3,
@@ -28,10 +29,6 @@ from chaoskit.wick import (
     expectation,
     gaussian_moment_bivariate_conditional,
 )
-
-
-def rho_poly(*coeffs):
-    return ParamPoly(("rho",), {(k,): c for k, c in enumerate(coeffs)})
 
 
 def oracle_moment(x_poly: ParamPoly, power: int) -> ParamPoly:
@@ -81,20 +78,20 @@ class TestDegree13:
 
     def test_fourth_moment_both_routes(self):
         rep = counterexample_h1h3()
-        expected = rho_poly(36948, 12960, 21600, 24000)
+        expected = _poly_in_rho(36948, 12960, 21600, 24000)
         assert rep.e4_poly == expected
         assert oracle_moment(u_v_polynomial_h1h3(), 4) == expected
 
     def test_fourth_cumulant_both_routes(self):
         rep = counterexample_h1h3()
-        expected = rho_poly(3240, 12960, 21600, 24000)
+        expected = _poly_in_rho(3240, 12960, 21600, 24000)
         assert rep.kappa4_poly == expected
         oracle = oracle_moment(u_v_polynomial_h1h3(), 4) - 3 * Fraction(106) ** 2
         assert oracle == expected
 
     def test_sixth_moment_both_routes(self):
         rep = counterexample_h1h3()
-        expected = rho_poly(34330920, 62596800, 104328000, 102960000, 32400000)
+        expected = _poly_in_rho(34330920, 62596800, 104328000, 102960000, 32400000)
         assert rep.e6_poly == expected
         assert oracle_moment(u_v_polynomial_h1h3(), 6) == expected
 
