@@ -9,10 +9,11 @@ sample stream is a pure function of (seed, size, dimension).  Chunks run on up
 to one thread per CPU available to the process; the worker count is derived
 from the machine, not configured, and since each chunk draws, transforms and
 evaluates into its own rows, the output is bitwise identical to a serial run.
-Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers, which keeps
-them strictly inside (0, 1); standard normals are obtained by inverse transform
-through a rational quantile approximation (``normal_quantile``) whose absolute
-error is below 1e-9 over the full open interval.  The constant
+Each worker reuses one chunk-sized buffer allocated by the calling thread.
+Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers k; standard
+normals are obtained by inverse transform through a rational quantile
+approximation (``normal_quantile``) whose absolute error is below 1e-9 over
+the full open interval.  The constant
 ``GENERATOR_ID`` names this whole scheme and is stamped on every SampleSet and
 report.
 
@@ -133,22 +134,34 @@ def _tail_quantile(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(q < 0.0, -val, val)
 
 
-def normal_quantile(p):
+def normal_quantile(p, out=None):
     """Inverse standard normal CDF on (0, 1), vectorized.
 
     Rational minimax approximation in three regions (central, moderate tail,
     far tail); absolute error below 1e-9 everywhere, which the test suite
     checks against an independent implementation.
 
+    ``out``, when given, is a C-contiguous float64 array of the shape of
+    ``p`` that receives the result and is returned; it may be ``p`` itself,
+    which is then overwritten.
+
     The flattened input is processed in slices of 2^14 values that stay in
-    cache: the central approximation is evaluated on the whole slice in
-    preallocated buffers, then only the tail entries are overwritten.  Every
-    value goes through the same floating-point operations in the same order
-    whatever the slicing, so the result does not depend on it.
+    cache: the tail entries of a slice are evaluated first, then the central
+    approximation on the whole slice in preallocated buffers, and the tail
+    entries are written over it.  Every value goes through the same
+    floating-point operations in the same order whatever the slicing, so the
+    result does not depend on it.
     """
     p = np.asarray(p, dtype=np.float64)
+    result = np.empty(p.shape) if out is None else out
+    if (
+        result.shape != p.shape
+        or result.dtype != np.float64
+        or not result.flags.c_contiguous
+    ):
+        raise ValueError("out must be a C-contiguous float64 array shaped like p")
     flat = p.ravel()
-    out = np.empty(flat.shape)
+    dest = result.reshape(-1)
     width = min(flat.size, _SLICE)
     q, r, num, den = np.empty((4, width))
     for start in range(0, flat.size, _SLICE):
@@ -157,15 +170,16 @@ def normal_quantile(p):
         if np.any((ps <= 0.0) | (ps >= 1.0)):
             raise ValueError("quantile argument must lie strictly inside (0, 1)")
         qs = np.subtract(ps, 0.5, out=q[:k])
+        tail = np.flatnonzero(~(np.abs(qs) <= 0.425))
+        if tail.size:
+            tail_values = _tail_quantile(ps[tail], qs[tail])
         rs = np.multiply(qs, qs, out=r[:k])
         np.subtract(0.180625, rs, out=rs)
         ratio = _ratpoly(rs, _QUANT_A, _QUANT_B, num[:k], den[:k])
-        chunk = np.multiply(qs, ratio, out=out[start : start + k])
-        tail = np.flatnonzero(~(np.abs(qs) <= 0.425))
+        chunk = np.multiply(qs, ratio, out=dest[start : start + k])
         if tail.size:
-            chunk[tail] = _tail_quantile(ps[tail], qs[tail])
-    out = out.reshape(p.shape)
-    return out if out.shape else float(out)
+            chunk[tail] = tail_values
+    return result if result.shape or out is not None else float(result)
 
 
 def normal_cdf(x, sigma: float = 1.0):
@@ -205,14 +219,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _normal_chunk(seed: int, chunk_index: int, rows: int, dim: int) -> np.ndarray:
+def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
+    """Fill ``buf`` (rows x dimension) with chunk ``chunk_index``'s normals."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.Philox(ss))
-    ints = gen.integers(0, 1 << 53, size=(rows, dim), dtype=np.int64)
-    # (k + 0.5) * 2**-53, written over the integers' own buffer
-    u = np.add(ints, 0.5, out=ints.view(np.float64))
-    u *= 2.0**-53
-    return normal_quantile(u)
+    # random() is k * 2**-53 with k = (next 64 bits) >> 11, the k of
+    # integers(0, 2**53); adding 2**-54 rounds exactly as (k + 0.5) * 2**-53.
+    gen.random(out=buf)
+    buf += 2.0**-54
+    return normal_quantile(buf, out=buf)
 
 
 def sample_gaussian_polynomial(
@@ -227,8 +242,8 @@ def sample_gaussian_polynomial(
     covariance is not the identity, pushed through its (pivoted) Cholesky
     factor evaluated at ``assignment``.  Term coefficients must be numeric
     after the same assignment.  Chunks run on a thread pool with one worker
-    per available CPU and at most one per chunk; with a single chunk or a
-    single CPU they run inline.
+    per available CPU and at most one per chunk, worker w taking chunks w,
+    w + workers, ...; with a single chunk or a single CPU they run inline.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -245,12 +260,18 @@ def sample_gaussian_polynomial(
         terms.append((tuple((i, e) for i, e in enumerate(exps) if e), value))
 
     out = np.empty(n, dtype=np.float64)
-    starts = range(0, n, _chunk_rows(d))
+    rows = _chunk_rows(d)
+    starts = range(0, n, rows)
+    chunks = range(len(starts))
+    workers = min(_available_cpus(), len(chunks))
+    # One chunk buffer per worker, allocated here: the workers allocate only
+    # row-sized arrays, so memory use does not depend on thread scheduling.
+    buffers = [np.empty(min(rows, n) * d) for _ in range(workers)]
 
-    def fill(chunk: int) -> None:
+    def fill(chunk: int, buf: np.ndarray) -> None:
         start = starts[chunk]
-        stop = min(start + starts.step, n)
-        z = _normal_chunk(seed, chunk, stop - start, d)
+        stop = min(start + rows, n)
+        z = _normal_chunk(seed, chunk, buf[: (stop - start) * d].reshape(-1, d))
         x = z if factor is None else z @ factor.T
         acc = np.zeros(stop - start, dtype=np.float64)
         for support, value in terms:
@@ -261,14 +282,15 @@ def sample_gaussian_polynomial(
             acc += term
         out[start:stop] = acc
 
-    chunks = range(len(starts))
-    workers = min(_available_cpus(), len(chunks))
+    def run(worker: int) -> None:
+        for chunk in chunks[worker::workers]:
+            fill(chunk, buffers[worker])
+
     if workers == 1:
-        for chunk in chunks:
-            fill(chunk)
+        run(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(fill, chunks):
+            for _ in pool.map(run, range(workers)):
                 pass
     return SampleSet(values=out, seed=int(seed))
 

@@ -4,6 +4,7 @@ families, and the simulation experiment driver."""
 import hashlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,25 @@ def test_quantile_bitwise_equal_to_whole_array_evaluation():
     assert scalar == _whole_array_as241(np.array([0.975]))[0]
 
 
+def test_quantile_out_may_alias_the_input():
+    # tails are evaluated before a slice's results are written, so the
+    # input may serve as the output, across several slices and all regions
+    gen = np.random.Generator(np.random.Philox(9))
+    tails = np.geomspace(2.0**-53, 0.07, 300)
+    spread = gen.random(2 * (1 << 14) + 77) * 0.98 + 0.01
+    p = np.concatenate([tails, spread]).reshape(-1, 7)
+    want = normal_quantile(p)
+    separate = np.empty_like(p)
+    assert normal_quantile(p, out=separate) is separate
+    assert separate.tobytes() == want.tobytes()
+    assert normal_quantile(p, out=p) is p
+    assert p.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        normal_quantile(np.full(4, 0.5), out=np.empty(5))
+    with pytest.raises(ValueError):
+        normal_quantile(np.full((4, 4), 0.5), out=np.empty((4, 8))[:, ::2])
+
+
 def test_cdf_with_scale():
     assert abs(normal_cdf(0.0, sigma=3.0) - 0.5) < 1e-15
     assert abs(normal_cdf(3.0, sigma=3.0) - normal_cdf(1.0)) < 1e-15
@@ -216,6 +236,24 @@ def test_threaded_chunks_match_serial(monkeypatch):
     (serial_f, serial_x), (threaded_f, threaded_x) = results
     assert serial_f.tobytes() == threaded_f.tobytes()
     assert serial_x.tobytes() == threaded_x.tobytes()
+
+
+def test_sampling_holds_one_chunk_buffer_per_worker(monkeypatch):
+    # 3 chunks of 2^21 // 64 rows; each worker draws, transforms and
+    # evaluates inside one 2^21-value buffer made by the caller, so peak
+    # allocation is set by the worker count, not by thread scheduling
+    cov = CovSpec.identity(64)
+    f = GaussianPolynomial(cov, {(1, 1) + (0,) * 62: 1, (0, 0, 2) + (0,) * 61: 1})
+    chunk_bytes = (1 << 21) * 8
+    for cpus in (1, 2):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            sample_gaussian_polynomial(f, 3 * (1 << 15), seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cpus * chunk_bytes <= peak < cpus * chunk_bytes + (1 << 22)
 
 
 def test_h2_sample_mean_band():
