@@ -25,7 +25,6 @@ from .algebra import _as_fraction, hermite
 from .wick import (
     CovSpec,
     GaussianPolynomial,
-    cumulant,
     expectation,
     expectation_of_product,
 )
@@ -198,14 +197,15 @@ class Tensor:
             raise ValueError("order must be non-negative")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (entries or {}).items():
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(map(int, idx))
             if len(idx) != order:
                 raise ValueError(f"index {idx!r} does not have order {order}")
-            if any(not 0 <= i < dimension for i in idx):
+            if idx and (min(idx) < 0 or max(idx) >= dimension):
                 raise ValueError(f"index {idx!r} out of range")
-            v = _as_fraction(value)
-            if v:
-                cleaned[idx] = v
+            if type(value) is not Fraction:
+                value = _as_fraction(value)
+            if value:
+                cleaned[idx] = value
         self.dimension = dimension
         self.order = order
         self.entries = cleaned
@@ -252,42 +252,104 @@ def symmetrize(
     return SymTensor(dimension, order, coeffs)
 
 
+def _scaled(u: SymTensor) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The lcm L of u's denominators and the integer entries L * u."""
+    den = math.lcm(*(c.denominator for c in u.coeffs.values()))
+    return den, {idx: c.numerator * den // c.denominator for idx, c in u.coeffs.items()}
+
+
+def _check_contraction(u: SymTensor, v: SymTensor, r: int) -> None:
+    if u.dimension != v.dimension:
+        raise ValueError("contraction needs matching dimensions")
+    if not 0 <= r <= min(u.order, v.order):
+        raise ValueError(f"contraction order r={r} out of range")
+
+
 def contract(u: SymTensor, v: SymTensor, r: int) -> Tensor:
     """The r-fold contraction u (x)_r v over the last r slots of each kernel.
 
     Result has order p + q - 2r and is in general not symmetric.  r = 0 is
     the tensor product; r = p = q gives the order-0 tensor <u, v>.
     """
-    if u.dimension != v.dimension:
-        raise ValueError("contraction needs matching dimensions")
-    if not 0 <= r <= min(u.order, v.order):
-        raise ValueError(f"contraction order r={r} out of range")
+    _check_contraction(u, v, r)
     p, q = u.order, v.order
+    den_u, ints_u = _scaled(u)
+    den_v, ints_v = _scaled(v)
     lead_v: dict[tuple[int, ...], list] = {}
-    for full, value in v.full_items():
-        lead_v.setdefault(full[q - r :], []).append((full[: q - r], value))
-    out: dict[tuple[int, ...], Fraction] = {}
-    for full, value in u.full_items():
-        matches = lead_v.get(full[p - r :])
-        if not matches:
-            continue
-        head = full[: p - r]
-        for tail, w in matches:
-            key = head + tail
-            prod = value * w
-            if key in out:
-                out[key] += prod
-            else:
-                out[key] = prod
+    for idx, y in ints_v.items():
+        for full in set(itertools.permutations(idx)):
+            lead_v.setdefault(full[q - r :], []).append((full[: q - r], y))
+    out: dict[tuple[int, ...], int] = {}
+    for idx, x in ints_u.items():
+        for full in set(itertools.permutations(idx)):
+            matches = lead_v.get(full[p - r :])
+            if not matches:
+                continue
+            head = full[: p - r]
+            for tail, y in matches:
+                key = head + tail
+                out[key] = out.get(key, 0) + x * y
+    den = den_u * den_v
+    for key, total in out.items():
+        out[key] = Fraction(total, den)
     return Tensor(u.dimension, p + q - 2 * r, out)
+
+
+def _by_submultiset(u: SymTensor, r: int) -> tuple[int, dict[tuple[int, ...], list]]:
+    """Index L * u by each distinct size-r sub-multiset s of every stored index a.
+
+    Each s maps to the pairs (a minus s, L * u[a] * orbit size of a minus s).
+    """
+    den, ints = _scaled(u)
+    index: dict[tuple[int, ...], list] = {}
+    for idx, x in ints.items():
+        for s in set(itertools.combinations(idx, r)):
+            rest = list(idx)
+            for i in s:
+                rest.remove(i)
+            rest = tuple(rest)
+            index.setdefault(s, []).append((rest, x * _orbit_size(rest)))
+    return den, index
+
+
+def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> Union[SymTensor, Fraction]:
+    """u (x)~_r v on sorted multi-indices, or the scalar <u, v> when r = p = q.
+
+    The orbit sum of u (x)_r v at a sorted index m is the sum, over sorted
+    a', b', s with a' + b' = m, of orbit(a') orbit(b') orbit(s) u[a' + s]
+    v[b' + s]; dividing by orbit(m) gives the symmetrized entry.  The sums
+    run over the integer-scaled kernels and are divided once at the end.
+    """
+    den_u, left = _by_submultiset(u, r)
+    den_v, right = (den_u, left) if v is u else _by_submultiset(v, r)
+    acc: dict[tuple[int, ...], int] = {}
+    for s, heads in left.items():
+        tails = right.get(s)
+        if tails is None:
+            continue
+        w = _orbit_size(s)
+        for a, x in heads:
+            xw = x * w
+            for b, y in tails:
+                key = tuple(sorted(a + b))
+                acc[key] = acc.get(key, 0) + xw * y
+    den = den_u * den_v
+    order = u.order + v.order - 2 * r
+    if order == 0:
+        return Fraction(acc.get((), 0), den)
+    return SymTensor(
+        u.dimension,
+        order,
+        {m: Fraction(total, den * _orbit_size(m)) for m, total in acc.items() if total},
+    )
 
 
 def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
     """Symmetrized contraction; requires a result of order >= 1."""
-    raw = contract(u, v, r)
-    if raw.order == 0:
+    _check_contraction(u, v, r)
+    if u.order + v.order == 2 * r:
         raise ValueError("symmetrized contraction is undefined for order 0")
-    return symmetrize(raw)
+    return _sym_contract(u, v, r)
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +499,11 @@ def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
     constant = Fraction(0)
     for r in range(0, min(p, q) + 1):
         coef = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-        raw = contract(u, v, r)
-        if raw.order == 0:
-            constant += coef * raw.scalar_value()
-            continue
-        tensor = symmetrize(raw).scale(coef)
-        if tensor.is_zero:
-            continue
-        components[raw.order] = (
-            components[raw.order] + tensor if raw.order in components else tensor
-        )
+        term = _sym_contract(u, v, r)
+        if isinstance(term, Fraction):
+            constant += coef * term
+        elif not term.is_zero:
+            components[p + q - 2 * r] = term.scale(coef)
     return ProductExpansion(ChaosElement(u.dimension, components), constant)
 
 
@@ -495,12 +552,46 @@ def gamma(X: ChaosElement) -> GaussianPolynomial:
     return malliavin_derivative(X).inner(anti)
 
 
+def _gamma_chaos(
+    pairs: list[tuple[SymTensor, SymTensor, int]], dimension: int
+) -> ChaosElement:
+    """The non-constant part of sum_{(u, v, w)} (w / p) q^{-1} <D I_p(u), D I_q(v)>.
+
+    For p <= q, q^{-1} <D I_p(u), D I_q(v)> = p sum_{r=1}^{p} (r-1)!
+    C(p-1, r-1) C(q-1, r-1) I_{p+q-2r}(u (x)~_r v); the weight w takes the
+    place of the leading p.
+    """
+    g = ChaosElement(dimension, {})
+    for u, v, w in pairs:
+        p, q = u.order, v.order
+        for r in range(1, p + 1):
+            if r == p == q:
+                continue
+            coef = (
+                w
+                * math.factorial(r - 1)
+                * math.comb(p - 1, r - 1)
+                * math.comb(q - 1, r - 1)
+            )
+            term = _sym_contract(u, v, r).scale(coef)
+            g = g + ChaosElement(dimension, {term.order: term})
+    return g
+
+
 def gamma_variance(X: ChaosElement) -> Fraction:
-    """Var(gamma(X)), exactly."""
-    g = gamma(X)
-    mean = expectation(g).constant_value()
-    second = expectation_of_product(g, g).constant_value()
-    return second - mean * mean
+    """Var(gamma(X)) = sum_{k>=1} k! |g_k|^2, exactly.
+
+    g_k is the order-k kernel of gamma(X) = sum_{p,q} q^{-1} <D I_p(u_p),
+    D I_q(u_q)>; the pairs (p, q) and (q, p) share one symmetrized
+    contraction, with weight p + q.  The order-0 part is Var X.
+    """
+    items = list(X.components.items())
+    pairs = [
+        (u, v, p if p == q else p + q)
+        for i, (p, u) in enumerate(items)
+        for q, v in items[i:]
+    ]
+    return _gamma_chaos(pairs, X.dimension).variance()
 
 
 def stein_bound(X: ChaosElement, which: str = "combined") -> float:
@@ -529,8 +620,22 @@ def stein_bound(X: ChaosElement, which: str = "combined") -> float:
 
 
 def kappa4_exact(X: ChaosElement) -> Fraction:
-    """The fourth cumulant of X, exactly."""
-    return cumulant(X.compile(), 4).constant_value()
+    """The fourth cumulant of X, exactly.
+
+    X^2 = c + sum_k I_k(h_k) by the product formula, summed over unordered
+    component pairs with weight 2 off the diagonal.  X is centered, so
+    E[X^2] = c, E[X^4] = c^2 + sum_k k! |h_k|^2 and kappa4 = Var(X^2) - 2 c^2.
+    """
+    items = list(X.components.values())
+    square = ChaosElement(X.dimension, {})
+    c = Fraction(0)
+    for i, u in enumerate(items):
+        for v in items[i:]:
+            expansion = product_formula_expand(u, v)
+            weight = 1 if v is u else 2
+            square = square + expansion.element.scale(weight)
+            c += weight * expansion.constant
+    return square.variance() - 2 * c * c
 
 
 @dataclass(frozen=True)
@@ -601,8 +706,9 @@ class MixedTermBound:
 def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
     """Check the cross-term estimate for kernels of orders p < q.
 
-    lhs = E[(q^{-1} <D I_p(u), D I_q(v)>)^2], computed exactly from
-    :func:`malliavin_derivative`.  The bound is
+    lhs = E[G^2] with G = q^{-1} <D I_p(u), D I_q(v)> = p sum_{r=1}^{p}
+    (r-1)! C(p-1, r-1) C(q-1, r-1) I_{p+q-2r}(u (x)~_r v), computed exactly
+    by the isometry.  The bound is
 
         p!^2 C(q-1, p-1)^2 (q-p)! |u|^2 |v (x)_{q-p} v|
         + (p^2/2) sum_{r=1}^{p-1} (r-1)!^2 C(p-1, r-1)^2 C(q-1, r-1)^2
@@ -617,10 +723,8 @@ def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
         raise ValueError(f"requires p < q, got p={p}, q={q}")
     if u.dimension != v.dimension:
         raise ValueError("kernels must share a dimension")
-    du = malliavin_derivative(ChaosElement(u.dimension, {p: u}))
-    dv = malliavin_derivative(ChaosElement(v.dimension, {q: v}))
-    g = du.inner(dv) * Fraction(1, q)
-    lhs = expectation_of_product(g, g).constant_value()
+    # p < q, so G has no order-0 part and E[G] = 0.
+    lhs = _gamma_chaos([(u, v, p)], u.dimension).variance()
 
     A = (
         Fraction(

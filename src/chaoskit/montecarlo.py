@@ -10,10 +10,11 @@ to one thread per CPU available to the process; the worker count is derived
 from the machine, not configured, and since each chunk draws, transforms and
 evaluates into its own rows, the output is bitwise identical to a serial run.
 Each worker reuses one chunk-sized buffer allocated by the calling thread.
-Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers k; standard
-normals are obtained by inverse transform through a rational quantile
-approximation (``normal_quantile``) whose absolute error is below 1e-9 over
-the full open interval.  The constant
+Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers k, with the
+one value that rounds up to 1.0 (k = 2**53 - 1) clamped to 1 - 2**-53, so every
+uniform lies in (0, 1).  Standard normals are obtained by inverse transform
+through a rational quantile approximation (``normal_quantile``) whose absolute
+error is below 1e-9 over the full open interval.  The constant
 ``GENERATOR_ID`` names this whole scheme and is stamped on every SampleSet and
 report.
 
@@ -225,8 +226,10 @@ def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(ss))
     # random() is k * 2**-53 with k = (next 64 bits) >> 11, the k of
     # integers(0, 2**53); adding 2**-54 rounds exactly as (k + 0.5) * 2**-53.
+    # At k = 2**53 - 1 that rounds up to 1.0; the clamp maps it to 1 - 2**-53.
     gen.random(out=buf)
     buf += 2.0**-54
+    np.minimum(buf, np.nextafter(1.0, 0.0), out=buf)
     return normal_quantile(buf, out=buf)
 
 
@@ -471,7 +474,7 @@ class FamilyPoint:
     splits as a sum over blocks and both the fourth cumulant and Var(Gamma)
     are exactly n * scale_sq^2 times their one-block values.  The one-block
     values come from the exact engine; the additivity itself is covered by
-    tests comparing against direct whole-element computation at small n.
+    tests comparing against direct whole-element computation for n up to 64.
     """
 
     family: str

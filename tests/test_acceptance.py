@@ -256,17 +256,25 @@ def test_criterion_07_product_formula_and_isometry():
     )
 
 
-def test_criterion_08_stein_chain_head():
-    start = time.perf_counter()
+def stein_chain_elements() -> list:
+    """The 20 seeded chaos elements of criterion 8."""
     rng = random.Random(88002)
-    gamma_ok = True
+    elements = []
     for _ in range(20):
         d = rng.randint(2, 3)
         components = {}
         for order in rng.sample((1, 2, 3), k=rng.randint(1, 2)):
             components[order] = _random_sym_tensor(rng, d, order)
-        x = ChaosElement(d, components)
-        gamma_ok &= expectation(gamma(x)).constant_value() == x.variance()
+        elements.append(ChaosElement(d, components))
+    return elements
+
+
+def test_criterion_08_stein_chain_head():
+    start = time.perf_counter()
+    gamma_ok = all(
+        expectation(gamma(x)).constant_value() == x.variance()
+        for x in stein_chain_elements()
+    )
 
     bound_ok = True
     w1_values = {}
@@ -290,18 +298,21 @@ def test_criterion_08_stein_chain_head():
     )
 
 
-def test_criterion_09_mixed_term_inequality():
-    start = time.perf_counter()
+def mixed_term_pairs() -> list:
+    """The 25 seeded kernel pairs of criterion 9, orders p < q <= 4."""
     rng = random.Random(99003)
-    all_hold = True
+    pairs = []
     for _ in range(25):
         d = rng.randint(2, 4)
         p = rng.randint(1, 3)
         q = rng.randint(p + 1, 4)
-        result = mixed_term_bound_check(
-            _random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)
-        )
-        all_hold &= result.holds
+        pairs.append((_random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)))
+    return pairs
+
+
+def test_criterion_09_mixed_term_inequality():
+    start = time.perf_counter()
+    all_hold = all(mixed_term_bound_check(u, v).holds for u, v in mixed_term_pairs())
     witness = mixed_term_bound_check(
         SymTensor(1, 1, {(0,): 1}), SymTensor(1, 2, {(0, 0): 1})
     )

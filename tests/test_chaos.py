@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import mixed_parity_pairs, mixed_term_pairs, stein_chain_elements
 
 from chaoskit.algebra import ParamPoly
 from chaoskit.chaos import (
@@ -66,6 +67,22 @@ def test_symtensor_validation():
         SymTensor(2, 0, {})  # order must be >= 1
     with pytest.raises(ValueError):
         SymTensor(2, 2, {(0,): 1})  # wrong arity
+
+
+def test_tensor_validation():
+    t = Tensor(3, 2, {(2, 0): 4, (1, 1): Fraction(0), (0, 1): HALF, (1, 2): 0})
+    assert t.entries == {(2, 0): Fraction(4), (0, 1): HALF}
+    assert type(t.entries[(2, 0)]) is Fraction
+    assert Tensor(3, 0, {(): Fraction(2, 3)}).scalar_value() == Fraction(2, 3)
+    for bad in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            Tensor(3, 2, {bad: 1})  # out of range
+    with pytest.raises(ValueError):
+        Tensor(3, 2, {(0,): 1})  # wrong arity
+    with pytest.raises(ValueError):
+        Tensor(3, -1, {})
+    with pytest.raises(TypeError):
+        Tensor(3, 1, {(0,): 0.5})  # not an exact rational
 
 
 def test_norms_account_for_orbits():
@@ -147,6 +164,37 @@ def test_contract_sym_is_symmetric_kernel():
     s = contract_sym(u, v, 1)
     assert s.order == 3
     assert all(idx == tuple(sorted(idx)) for idx in s.coeffs)
+
+
+def test_contract_sym_matches_symmetrized_contract():
+    # orders 1 and 2 with mixed denominators; at r = 1 the entry (0,) cancels
+    # (1/2 * 2/3 - 1/3 * 1), at r = 0 the three nonzero full entries on the
+    # orbit of (0, 1, 1) cancel (2/3 - 1/3 - 1/3)
+    u = SymTensor(3, 1, {(0,): HALF, (1,): Fraction(-1, 3), (2,): Fraction(5, 7)})
+    v = SymTensor(
+        3,
+        2,
+        {
+            (0, 0): Fraction(2, 3),
+            (0, 1): 1,
+            (1, 1): Fraction(4, 3),
+            (1, 2): Fraction(-3, 4),
+            (2, 2): Fraction(1, 5),
+        },
+    )
+    assert contract(u, v, 0).entries[(1, 0, 1)] == Fraction(-1, 3)
+    assert (0, 1, 1) not in contract_sym(u, v, 0).coeffs
+    assert (0,) not in contract_sym(u, v, 1).coeffs
+    rng = random.Random(5151)
+    pairs = [(u, v), (v, u)]
+    while len(pairs) < 40:
+        d = rng.randint(1, 4)
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        if p != q:
+            pairs.append((_random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)))
+    for a, b in pairs:
+        for r in range(min(a.order, b.order) + 1):
+            assert contract_sym(a, b, r) == symmetrize(contract(a, b, r))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +494,28 @@ def test_kappa4_scaling():
     assert kappa4_exact(h2.scale(HALF)) == Fraction(48, 16)
 
 
+def polynomial_gamma_variance(x: ChaosElement) -> Fraction:
+    """Var Gamma from the polynomial gamma(X) and Wick moments."""
+    g = gamma(x)
+    mean = expectation(g).constant_value()
+    return expectation_of_product(g, g).constant_value() - mean * mean
+
+
+def test_kappa4_and_gamma_variance_match_polynomial_oracle():
+    rng = random.Random(60606)
+    corpus = stein_chain_elements() + [_random_chaos_element(rng) for _ in range(20)]
+    for x in corpus:
+        assert kappa4_exact(x) == cumulant(x.compile(), 4).constant_value()
+        assert gamma_variance(x) == polynomial_gamma_variance(x)
+
+
+def test_kappa4_matches_the_split_on_mixed_parity_pairs():
+    suite = mixed_parity_pairs()
+    for (y, z), split in zip(suite["pairs"], suite["decompositions"]):
+        x = ChaosElement(y.dimension, {y.order: y, z.order: z})
+        assert kappa4_exact(x) == split.k4x
+
+
 def test_kappa4_decomposition_disjoint_pair():
     y = SymTensor(2, 1, {(0,): 1})
     z = SymTensor(2, 2, {(1, 1): 1})
@@ -533,6 +603,18 @@ def test_mixed_term_bound_random(pair):
     u, v = pair
     result = mixed_term_bound_check(u, v)
     assert result.holds
+
+
+def test_mixed_term_lhs_matches_polynomial_oracle():
+    # E[G^2] with G = q^{-1} sum_i D_i I_p(u) D_i I_q(v) from the gradients
+    for u, v in mixed_term_pairs():
+        du = malliavin_derivative(ChaosElement(u.dimension, {u.order: u}))
+        dv = malliavin_derivative(ChaosElement(v.dimension, {v.order: v}))
+        g = du.inner(dv) * Fraction(1, v.order)
+        assert expectation(g).constant_value() == 0
+        lhs = expectation_of_product(g, g).constant_value()
+        assert mixed_term_bound_check(u, v).lhs == lhs
+
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,23 @@ def test_v1_stream_multichunk_wide_digest():
     assert _sha256(values) == V1_DYADIC_512_SHA256
 
 
+def test_largest_draw_gives_a_finite_normal(monkeypatch):
+    # the largest 53-bit draw k = 2^53 - 1 has the half-step uniform
+    # (k + 0.5) * 2^-53, which rounds to 1.0 in float64 unless clamped
+    class LargestDraw:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, out):
+            out[...] = (2.0**53 - 1) * 2.0**-53
+            return out
+
+    monkeypatch.setattr(montecarlo.np.random, "Generator", LargestDraw)
+    z = montecarlo._normal_chunk(42, 0, np.empty((3, 2)))
+    assert np.all(np.isfinite(z))
+    assert np.all(z == normal_quantile(np.nextafter(1.0, 0.0)))
+
+
 def test_threaded_chunks_match_serial(monkeypatch):
     # 5 chunks of 2^21 // 40 rows, on one thread and then on more threads
     # than this machine may have cores, switching threads as often as it can;
@@ -424,7 +441,7 @@ def test_blocks_exact_columns():
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_block_additivity_matches_direct_engine(family):
     """The per-block shortcut must agree with whole-element exact computation."""
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 64):
         pt = family_point(family, n)
         element = pt.scaled.element
         scale_sq = pt.scaled.scale_sq
