@@ -3,140 +3,21 @@ Gaussian vectors: Hermite algebra, moment and cumulant computation, Wiener
 chaos decompositions, fourth-moment diagnostics, and seeded simulation
 experiments with verdict reports."""
 
-from .algebra import (
-    HermitePoly,
-    ParamPoly,
-    Rational,
-    double_factorial,
-    hermite,
-    hermite_expand,
-    param_eval,
-    real_roots,
-)
-from .chaos import (
-    ChaosElement,
-    HVector,
-    Kappa4Decomposition,
-    MixedTermBound,
-    SymTensor,
-    Tensor,
-    contract,
-    contract_sym,
-    gamma,
-    gamma_variance,
-    kappa4_decomposition,
-    kappa4_exact,
-    malliavin_derivative,
-    max_contraction_norms,
-    mixed_term_bound_check,
-    multiple_integral,
-    ou_apply,
-    ou_inverse,
-    product_formula_expand,
-    stein_bound,
-    symmetrize,
-)
-from .cli import RunConfig, main, run
-from .counterexamples import (
-    CounterexampleReport,
-    PositivityCertificate,
-    counterexample_h1h3,
-    h1h5_positivity_certificate,
-    h1h5_second_moment,
-    kappa4_h1h5,
-)
-from .montecarlo import (
-    FAMILY_NAMES,
-    GENERATOR_ID,
-    DistanceBounds,
-    ExperimentReport,
-    FamilyPoint,
-    SampleSet,
-    clt_experiment,
-    empirical_kappa4,
-    family_point,
-    gaussian_distance_bound,
-    ks_to_gaussian,
-    normal_cdf,
-    normal_quantile,
-    sample_chaos,
-    sample_gaussian_polynomial,
-    wasserstein1_to_gaussian,
-)
-from .wick import (
-    CovSpec,
-    DegreeCapError,
-    GaussianPolynomial,
-    cumulant,
-    expectation,
-    expectation_of_product,
-    gaussian_moment,
-    gaussian_moment_bivariate_conditional,
-)
+from . import algebra, chaos, cli, counterexamples, montecarlo, wick
+from .algebra import *
+from .chaos import *
+from .cli import *
+from .counterexamples import *
+from .montecarlo import *
+from .wick import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HermitePoly",
-    "ParamPoly",
-    "Rational",
-    "double_factorial",
-    "hermite",
-    "hermite_expand",
-    "param_eval",
-    "real_roots",
-    "CovSpec",
-    "DegreeCapError",
-    "GaussianPolynomial",
-    "cumulant",
-    "expectation",
-    "expectation_of_product",
-    "gaussian_moment",
-    "gaussian_moment_bivariate_conditional",
-    "ChaosElement",
-    "HVector",
-    "Kappa4Decomposition",
-    "MixedTermBound",
-    "SymTensor",
-    "Tensor",
-    "contract",
-    "contract_sym",
-    "gamma",
-    "gamma_variance",
-    "kappa4_decomposition",
-    "kappa4_exact",
-    "malliavin_derivative",
-    "max_contraction_norms",
-    "mixed_term_bound_check",
-    "multiple_integral",
-    "ou_apply",
-    "ou_inverse",
-    "product_formula_expand",
-    "stein_bound",
-    "symmetrize",
-    "CounterexampleReport",
-    "PositivityCertificate",
-    "counterexample_h1h3",
-    "h1h5_positivity_certificate",
-    "h1h5_second_moment",
-    "kappa4_h1h5",
-    "DistanceBounds",
-    "ExperimentReport",
-    "FAMILY_NAMES",
-    "FamilyPoint",
-    "GENERATOR_ID",
-    "SampleSet",
-    "clt_experiment",
-    "empirical_kappa4",
-    "family_point",
-    "gaussian_distance_bound",
-    "ks_to_gaussian",
-    "normal_cdf",
-    "normal_quantile",
-    "sample_chaos",
-    "sample_gaussian_polynomial",
-    "wasserstein1_to_gaussian",
-    "RunConfig",
-    "main",
-    "run",
+    *algebra.__all__,
+    *wick.__all__,
+    *chaos.__all__,
+    *counterexamples.__all__,
+    *montecarlo.__all__,
+    *cli.__all__,
 ]

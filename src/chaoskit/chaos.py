@@ -252,12 +252,6 @@ def symmetrize(
     return SymTensor(dimension, order, coeffs)
 
 
-def _scaled(u: SymTensor) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The lcm L of u's denominators and the integer entries L * u."""
-    den = math.lcm(*(c.denominator for c in u.coeffs.values()))
-    return den, {idx: c.numerator * den // c.denominator for idx, c in u.coeffs.items()}
-
-
 def _check_contraction(u: SymTensor, v: SymTensor, r: int) -> None:
     if u.dimension != v.dimension:
         raise ValueError("contraction needs matching dimensions")
@@ -265,44 +259,16 @@ def _check_contraction(u: SymTensor, v: SymTensor, r: int) -> None:
         raise ValueError(f"contraction order r={r} out of range")
 
 
-def contract(u: SymTensor, v: SymTensor, r: int) -> Tensor:
-    """The r-fold contraction u (x)_r v over the last r slots of each kernel.
-
-    Result has order p + q - 2r and is in general not symmetric.  r = 0 is
-    the tensor product; r = p = q gives the order-0 tensor <u, v>.
-    """
-    _check_contraction(u, v, r)
-    p, q = u.order, v.order
-    den_u, ints_u = _scaled(u)
-    den_v, ints_v = _scaled(v)
-    lead_v: dict[tuple[int, ...], list] = {}
-    for idx, y in ints_v.items():
-        for full in set(itertools.permutations(idx)):
-            lead_v.setdefault(full[q - r :], []).append((full[: q - r], y))
-    out: dict[tuple[int, ...], int] = {}
-    for idx, x in ints_u.items():
-        for full in set(itertools.permutations(idx)):
-            matches = lead_v.get(full[p - r :])
-            if not matches:
-                continue
-            head = full[: p - r]
-            for tail, y in matches:
-                key = head + tail
-                out[key] = out.get(key, 0) + x * y
-    den = den_u * den_v
-    for key, total in out.items():
-        out[key] = Fraction(total, den)
-    return Tensor(u.dimension, p + q - 2 * r, out)
-
-
 def _by_submultiset(u: SymTensor, r: int) -> tuple[int, dict[tuple[int, ...], list]]:
-    """Index L * u by each distinct size-r sub-multiset s of every stored index a.
+    """Index L * u, L the lcm of u's denominators, by each distinct size-r
+    sub-multiset s of every stored index a.
 
     Each s maps to the pairs (a minus s, L * u[a] * orbit size of a minus s).
     """
-    den, ints = _scaled(u)
+    den = math.lcm(*(c.denominator for c in u.coeffs.values()))
     index: dict[tuple[int, ...], list] = {}
-    for idx, x in ints.items():
+    for idx, c in u.coeffs.items():
+        x = c.numerator * den // c.denominator
         for s in set(itertools.combinations(idx, r)):
             rest = list(idx)
             for i in s:
@@ -312,17 +278,20 @@ def _by_submultiset(u: SymTensor, r: int) -> tuple[int, dict[tuple[int, ...], li
     return den, index
 
 
-def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> Union[SymTensor, Fraction]:
-    """u (x)~_r v on sorted multi-indices, or the scalar <u, v> when r = p = q.
+def _contraction(
+    u: SymTensor, v: SymTensor, r: int
+) -> tuple[int, dict[tuple[tuple[int, ...], tuple[int, ...]], int]]:
+    """The one contraction join: L and {(a, b): L * block sum of u (x)_r v}.
 
-    The orbit sum of u (x)_r v at a sorted index m is the sum, over sorted
-    a', b', s with a' + b' = m, of orbit(a') orbit(b') orbit(s) u[a' + s]
-    v[b' + s]; dividing by orbit(m) gives the symmetrized entry.  The sums
-    run over the integer-scaled kernels and are divided once at the end.
+    For symmetric kernels u (x)_r v takes one value on all orbit(a) orbit(b)
+    full indices a' + b', a' a permutation of the sorted index a and b' of
+    b: the sum over sorted s of orbit(s) u[a + s] v[b + s].  The block sum
+    is that value times orbit(a) orbit(b); it runs over the integer-scaled
+    kernels, and L is the product of their scales.
     """
     den_u, left = _by_submultiset(u, r)
     den_v, right = (den_u, left) if v is u else _by_submultiset(v, r)
-    acc: dict[tuple[int, ...], int] = {}
+    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for s, heads in left.items():
         tails = right.get(s)
         if tails is None:
@@ -331,9 +300,46 @@ def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> Union[SymTensor, Fracti
         for a, x in heads:
             xw = x * w
             for b, y in tails:
-                key = tuple(sorted(a + b))
-                acc[key] = acc.get(key, 0) + xw * y
-    den = den_u * den_v
+                blocks[a, b] = blocks.get((a, b), 0) + xw * y
+    return den_u * den_v, blocks
+
+
+def contract(u: SymTensor, v: SymTensor, r: int) -> Tensor:
+    """The r-fold contraction u (x)_r v over the last r slots of each kernel.
+
+    Result has order p + q - 2r and is in general not symmetric.  r = 0 is
+    the tensor product; r = p = q gives the order-0 tensor <u, v>.  Each
+    block of :func:`_contraction` is written to its full indices.
+    """
+    _check_contraction(u, v, r)
+    den, blocks = _contraction(u, v, r)
+    perms: dict[tuple[int, ...], set] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
+    for (a, b), total in blocks.items():
+        if not total:
+            continue
+        for idx in (a, b):
+            if idx not in perms:
+                perms[idx] = set(itertools.permutations(idx))
+        value = Fraction(total, den * len(perms[a]) * len(perms[b]))
+        for head in perms[a]:
+            for tail in perms[b]:
+                out[head + tail] = value
+    return Tensor(u.dimension, u.order + v.order - 2 * r, out)
+
+
+def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> Union[SymTensor, Fraction]:
+    """u (x)~_r v on sorted multi-indices, or the scalar <u, v> when r = p = q.
+
+    The orbit sum of u (x)_r v at a sorted index m is the sum of the block
+    sums of :func:`_contraction` with sorted(a + b) = m; dividing by
+    L orbit(m) gives the symmetrized entry.
+    """
+    den, blocks = _contraction(u, v, r)
+    acc: dict[tuple[int, ...], int] = {}
+    for (a, b), total in blocks.items():
+        key = tuple(sorted(a + b))
+        acc[key] = acc.get(key, 0) + total
     order = u.order + v.order - 2 * r
     if order == 0:
         return Fraction(acc.get((), 0), den)

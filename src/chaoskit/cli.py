@@ -666,22 +666,28 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if not isinstance(file_values, dict):
             parser.error("config file must hold a JSON object")
 
-    def pick(flag_name: str, file_key: str, default):
-        value = getattr(args, flag_name, None)
+    defaults = RunConfig(args.command)
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is not None:
+        try:
+            defaults.seed = int(env_seed)
+        except ValueError:
+            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+
+    def pick(file_key: str, flag_name: str | None = None):
+        value = getattr(args, flag_name or file_key, None)
         if value is not None:
             return value
-        if file_key in file_values:
-            return file_values[file_key]
-        return default
+        return file_values.get(file_key, getattr(defaults, file_key))
 
-    def integer(flag_name: str, file_key: str, default) -> int:
-        value = pick(flag_name, file_key, default)
+    def integer(file_key: str) -> int:
+        value = pick(file_key)
         try:
             return int(value)
         except (TypeError, ValueError):
             parser.error(f"{file_key} must be an integer, got {value!r}")
 
-    n_grid = pick("n_grid", "n_grid", [4, 16, 64])
+    n_grid = pick("n_grid")
     bad_grid = f"n_grid must be a list of integers, got {n_grid!r}"
     if not isinstance(n_grid, list):
         parser.error(bad_grid)
@@ -689,28 +695,20 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         n_grid = [int(n) for n in n_grid]
     except (TypeError, ValueError):
         parser.error(bad_grid)
-    output_path = pick("output", "output_path", None)
+    output_path = pick("output_path", "output")
     if output_path is not None and not isinstance(output_path, str):
         parser.error(f"output_path must be a string, got {output_path!r}")
 
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    default_seed = DEFAULT_SEED
-    if env_seed is not None:
-        try:
-            default_seed = int(env_seed)
-        except ValueError:
-            parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-
     config = RunConfig(
         command=args.command,
-        seed=integer("seed", "seed", default_seed),
+        seed=integer("seed"),
         n_grid=n_grid,
-        samples=integer("samples", "samples", 100_000),
+        samples=integer("samples"),
         output_path=output_path,
-        format=pick("format", "format", "csv"),
-        family=pick("family", "family", "dyadic_p2"),
-        pairs=integer("pairs", "pairs", 50),
-        grid_points=integer("grid_points", "grid_points", 201),
+        format=pick("format"),
+        family=pick("family"),
+        pairs=integer("pairs"),
+        grid_points=integer("grid_points"),
     )
 
     if not 0 <= config.seed < 2**64:

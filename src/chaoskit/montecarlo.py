@@ -418,25 +418,21 @@ def _merge(tensors: Sequence[SymTensor]) -> SymTensor:
     return SymTensor(tensors[0].dimension, tensors[0].order, coeffs)
 
 
-def _build_dyadic_p2(n: int) -> tuple[ChaosElement, ChaosElement, Fraction]:
+def _build_dyadic_p2(n: int) -> tuple[ChaosElement, Fraction]:
     d = 2 * n
     full = ChaosElement(d, {2: _merge([_dyadic_block(d, 2 * i) for i in range(n)])})
-    block = ChaosElement(2, {2: _dyadic_block(2, 0)})
-    return full, block, Fraction(1, n)
+    return full, Fraction(1, n)
 
 
-def _build_mixed_p2_q3(n: int) -> tuple[ChaosElement, ChaosElement, Fraction]:
+def _build_mixed_p2_q3(n: int) -> tuple[ChaosElement, Fraction]:
     d = 5 * n
     pairs = _merge([_dyadic_block(d, 5 * i) for i in range(n)])
     triples = _merge([_triple_block(d, 5 * i + 2) for i in range(n)])
     full = ChaosElement(d, {2: pairs, 3: triples})
-    block = ChaosElement(
-        5, {2: _dyadic_block(5, 0), 3: _triple_block(5, 2)}
-    )
-    return full, block, Fraction(1, 2 * n)
+    return full, Fraction(1, 2 * n)
 
 
-def _build_independent_blocks_m3(n: int) -> tuple[ChaosElement, ChaosElement, Fraction]:
+def _build_independent_blocks_m3(n: int) -> tuple[ChaosElement, Fraction]:
     d = 6 * n
     singles = _merge(
         [SymTensor(d, 1, {(6 * i,): Fraction(1)}) for i in range(n)]
@@ -444,15 +440,7 @@ def _build_independent_blocks_m3(n: int) -> tuple[ChaosElement, ChaosElement, Fr
     pairs = _merge([_dyadic_block(d, 6 * i + 1) for i in range(n)])
     triples = _merge([_triple_block(d, 6 * i + 3) for i in range(n)])
     full = ChaosElement(d, {1: singles, 2: pairs, 3: triples})
-    block = ChaosElement(
-        6,
-        {
-            1: SymTensor(6, 1, {(0,): Fraction(1)}),
-            2: _dyadic_block(6, 1),
-            3: _triple_block(6, 3),
-        },
-    )
-    return full, block, Fraction(1, 3 * n)
+    return full, Fraction(1, 3 * n)
 
 
 _FAMILIES = {
@@ -473,8 +461,9 @@ class FamilyPoint:
     The n blocks occupy disjoint coordinates, so the carre-du-champ operator
     splits as a sum over blocks and both the fourth cumulant and Var(Gamma)
     are exactly n * scale_sq^2 times their one-block values.  The one-block
-    values come from the exact engine; the additivity itself is covered by
-    tests comparing against direct whole-element computation for n up to 64.
+    values come from the exact engine on the family's n = 1 element, once
+    per family; the additivity itself is covered by tests comparing against
+    direct whole-element computation for n up to 64.
     """
 
     family: str
@@ -512,8 +501,9 @@ def family_point(family: str, n: int) -> FamilyPoint:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
     if n < 1:
         raise ValueError("n must be positive")
-    full, block, scale_sq = _FAMILIES[family](n)
+    full, scale_sq = _FAMILIES[family](n)
     if family not in _BLOCK_STATS_CACHE:
+        block, _ = _FAMILIES[family](1)
         _BLOCK_STATS_CACHE[family] = (
             block.variance(),
             kappa4_exact(block),

@@ -48,6 +48,15 @@ def gaussian_moment_1d(k: int) -> int:
     return 1 if k == 0 else double_factorial(k - 1)
 
 
+_ONE = ParamPoly.constant(1)
+_ZERO = ParamPoly()
+
+
+def _unit_row(d: int, i: int) -> tuple[ParamPoly, ...]:
+    """Row i of the d x d identity, built from the shared _ONE and _ZERO."""
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (d - i - 1)
+
+
 class CovSpec:
     """Symmetric covariance matrix whose entries are exact ParamPoly values."""
 
@@ -58,17 +67,16 @@ class CovSpec:
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise ValueError("covariance entries must form a square matrix")
-        for i in range(d):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"covariance not symmetric at ({i}, {j})")
+        # tuple comparison runs in C and skips entries that are the same object
+        if any(row != col for row, col in zip(rows, zip(*rows))):
+            i, j = next(
+                (i, j) for i in range(d) for j in range(i) if rows[i][j] != rows[j][i]
+            )
+            raise ValueError(f"covariance not symmetric at ({i}, {j})")
         self.dimension = d
         self.entries = tuple(rows)
         self._moment_cache: dict[tuple[int, ...], ParamPoly] = {}
-        one, zero = ParamPoly.constant(1), ParamPoly()
-        self._is_identity = all(
-            rows[i][j] == (one if i == j else zero) for i in range(d) for j in range(d)
-        )
+        self._is_identity = all(row == _unit_row(d, i) for i, row in enumerate(rows))
 
     _identity_cache: dict[int, "CovSpec"] = {}
 
@@ -77,13 +85,7 @@ class CovSpec:
         """The i.i.d. standard Gaussian covariance (cached per dimension)."""
         cov = cls._identity_cache.get(dimension)
         if cov is None:
-            one, zero = ParamPoly.constant(1), ParamPoly()
-            cov = cls(
-                [
-                    [one if i == j else zero for j in range(dimension)]
-                    for i in range(dimension)
-                ]
-            )
+            cov = cls([_unit_row(dimension, i) for i in range(dimension)])
             cls._identity_cache[dimension] = cov
         return cov
 

@@ -194,7 +194,28 @@ def test_contract_sym_matches_symmetrized_contract():
             pairs.append((_random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)))
     for a, b in pairs:
         for r in range(min(a.order, b.order) + 1):
-            assert contract_sym(a, b, r) == symmetrize(contract(a, b, r))
+            full = contract(a, b, r)
+            assert full.entries == brute_force_contract(a, b, r)
+            assert contract_sym(a, b, r) == symmetrize(full)
+
+
+def brute_force_contract(u, v, r):
+    """u (x)_r v by definition: sum over the r contracted slots of every full index."""
+    d, p, q = u.dimension, u.order, v.order
+
+    def entry(t, idx):
+        return t.coeffs.get(tuple(sorted(idx)), 0)
+
+    out = {}
+    for head in itertools.product(range(d), repeat=p - r):
+        for tail in itertools.product(range(d), repeat=q - r):
+            total = sum(
+                entry(u, head + s) * entry(v, tail + s)
+                for s in itertools.product(range(d), repeat=r)
+            )
+            if total:
+                out[head + tail] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,25 @@ def test_flag_beats_env_seed(tmp_path, monkeypatch):
     assert flagged.read_bytes() == plain.read_bytes()
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_no_flags_parse_to_run_config_defaults(command, monkeypatch):
+    monkeypatch.delenv("CHAOSKIT_SEED", raising=False)
+    parser = cli._build_parser()
+    assert cli._build_config(parser.parse_args([command]), parser) == RunConfig(command)
+
+
+def test_package_surface_is_the_module_surfaces():
+    import chaoskit
+    from chaoskit import algebra, chaos, counterexamples, montecarlo, wick
+
+    modules = (algebra, wick, chaos, counterexamples, montecarlo, cli)
+    assert chaoskit.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(chaoskit.__all__)) == len(chaoskit.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(chaoskit, name) is getattr(m, name)
+
+
 def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "conf.json"
     config_path.write_text(

@@ -101,6 +101,21 @@ def test_three_dimensional_rational_covariance():
     assert m.constant_value() == 2 * half * third
 
 
+def test_covspec_rejects_asymmetry_and_names_the_entry():
+    with pytest.raises(ValueError, match=r"not symmetric at \(2, 1\)"):
+        CovSpec([[1, 0, 0], [0, 1, 5], [0, 4, 1]])
+    with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+        CovSpec([[1, 2], [3, 1]])
+
+
+def test_covspec_is_identity():
+    assert CovSpec([[1, 0], [0, 1]]).is_identity
+    assert not CovSpec([[1, 0], [0, 2]]).is_identity
+    assert not CovSpec.bivariate().is_identity
+    assert CovSpec.identity(3).is_identity
+    assert CovSpec.identity(3) == CovSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 def test_cholesky_reproduces_matrix():
     rho = 0.5
     cov = CovSpec.bivariate(Fraction(1, 2))
