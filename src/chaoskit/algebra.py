@@ -105,7 +105,11 @@ class ParamPoly:
     @classmethod
     def constant(cls, value: ExactScalar) -> "ParamPoly":
         value = _as_fraction(value)
-        return cls((), {(): value} if value else {})
+        # already canonical, so the general constructor's checks are skipped
+        result = cls.__new__(cls)
+        result.variables = ()
+        result.terms = {(): value} if value else {}
+        return result
 
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":

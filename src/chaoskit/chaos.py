@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import _as_fraction, hermite
+from .algebra import ParamPoly, _as_fraction, hermite
 from .wick import (
     CovSpec,
     GaussianPolynomial,
+    Monomial,
     expectation,
     expectation_of_product,
 )
@@ -328,6 +329,22 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> Tensor:
     return Tensor(u.dimension, u.order + v.order - 2 * r, out)
 
 
+def _contraction_norm_sq(u: SymTensor, v: SymTensor, r: int) -> Fraction:
+    """|u (x)_r v|^2 from the blocks of :func:`_contraction`.
+
+    Block (a, b) covers orbit(a) orbit(b) full indices, each holding
+    total / (L orbit(a) orbit(b)), so it adds total^2 / (orbit(a) orbit(b))
+    / L^2.  The integer squares are summed per orbit product first.
+    """
+    den, blocks = _contraction(u, v, r)
+    groups: dict[int, int] = {}
+    for (a, b), total in blocks.items():
+        weight = _orbit_size(a) * _orbit_size(b)
+        groups[weight] = groups.get(weight, 0) + total * total
+    norm_sq = sum((Fraction(s, w) for w, s in groups.items()), Fraction(0))
+    return norm_sq / (den * den)
+
+
 def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> Union[SymTensor, Fraction]:
     """u (x)~_r v on sorted multi-indices, or the scalar <u, v> when r = p = q.
 
@@ -399,12 +416,10 @@ class ChaosElement:
     def compile(self) -> GaussianPolynomial:
         """Expand into an explicit polynomial of i.i.d. coordinates (cached)."""
         if self._compiled is None:
-            terms: dict = {}
-            for u in self.components.values():
-                for exps, c in multiple_integral(u).terms.items():
-                    existing = terms.get(exps)
-                    terms[exps] = c if existing is None else existing + c
-            self._compiled = GaussianPolynomial(CovSpec.identity(self.dimension), terms)
+            self._compiled = sum(
+                (multiple_integral(u) for u in self.components.values()),
+                GaussianPolynomial(CovSpec.identity(self.dimension), {}),
+            )
         return self._compiled
 
     def scale(self, factor: Union[Fraction, int]) -> "ChaosElement":
@@ -453,36 +468,26 @@ def multiple_integral(u: SymTensor) -> GaussianPolynomial:
 
     The coefficient of prod_i H_{a_i}(x_i) is the stored kernel value times
     the orbit size of its index, where a is the index multiplicity vector.
+    The sorted index gives each coordinate's multiplicity as one run, so the
+    sparse keys come out sorted.
     """
-    d = u.dimension
-    cov = CovSpec.identity(d)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[Monomial, Fraction] = {}
     for idx, value in u.coeffs.items():
-        mult = [0] * d
-        for i in idx:
-            mult[i] += 1
-        coef = value * _orbit_size(idx)
-        partial: list[tuple[dict[int, int], Fraction]] = [({}, coef)]
-        for i, a in enumerate(mult):
-            if not a:
-                continue
-            hcoeffs = hermite(a).coefficients
-            grown = []
-            for exps, c in partial:
-                for k, hk in enumerate(hcoeffs):
-                    if hk:
-                        e = dict(exps)
-                        if k:
-                            e[i] = k
-                        grown.append((e, c * hk))
-            partial = grown
-        for exps, c in partial:
-            key = [0] * d
-            for j, k in exps.items():
-                key[j] = k
-            key = tuple(key)
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return GaussianPolynomial(cov, acc)
+        partial = [((), value * _orbit_size(idx))]
+        for i, run in itertools.groupby(idx):
+            hcoeffs = hermite(sum(1 for _ in run)).coefficients
+            partial = [
+                (key + ((i, k),) if k else key, c * hk)
+                for key, c in partial
+                for k, hk in enumerate(hcoeffs)
+                if hk
+            ]
+        for key, c in partial:
+            acc[key] = acc.get(key, 0) + c
+    return GaussianPolynomial._of(
+        CovSpec.identity(u.dimension),
+        {key: ParamPoly.constant(c) for key, c in acc.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -696,7 +701,7 @@ def max_contraction_norms(u: SymTensor) -> float:
     if u.order == 1:
         return 0.0
     return max(
-        math.sqrt(float(contract(u, u, r).norm_sq())) for r in range(1, u.order)
+        math.sqrt(float(_contraction_norm_sq(u, u, r))) for r in range(1, u.order)
     )
 
 
@@ -740,7 +745,7 @@ def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
         )
         * u.norm_sq()
     )
-    B = contract(v, v, q - p).norm_sq()
+    B = _contraction_norm_sq(v, v, q - p)
     S = Fraction(0)
     for r in range(1, p):
         coef = (
@@ -749,7 +754,9 @@ def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
             * math.comb(q - 1, r - 1) ** 2
             * math.factorial(p + q - 2 * r)
         )
-        S += coef * (contract(u, u, p - r).norm_sq() + contract(v, v, p - r).norm_sq())
+        S += coef * (
+            _contraction_norm_sq(u, u, p - r) + _contraction_norm_sq(v, v, p - r)
+        )
     C = Fraction(p * p, 2) * S
 
     slack = lhs - C

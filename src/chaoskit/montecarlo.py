@@ -18,8 +18,11 @@ error is below 1e-9 over the full open interval.  The constant
 ``GENERATOR_ID`` names this whole scheme and is stamped on every SampleSet and
 report.
 
-Summation order inside every estimator is fixed (sorted terms, chunk rows in
-stream order), so reports are byte-identical across runs with the same seed.
+Summation order inside every estimator is fixed (chunk rows in stream order),
+and so is the order in which a polynomial's terms are summed: the
+lexicographic order of their dense exponent vectors, which ``_dense_order``
+gives on the sparse monomial keys.  Reports are therefore byte-identical
+across runs with the same seed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .chaos import (
     kappa4_exact,
     max_contraction_norms,
 )
-from .wick import GaussianPolynomial
+from .wick import GaussianPolynomial, Monomial
 
 __all__ = [
     "GENERATOR_ID",
@@ -127,11 +130,12 @@ def _tail_quantile(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Quantile at the entries with |p - 0.5| > 0.425 (or NaN); q = p - 0.5."""
     pt = np.where(q < 0.0, p, 1.0 - p)
     r = np.sqrt(-np.log(pt))
-    val = np.where(
-        r <= 5.0,
-        _ratpoly(np.minimum(r, 5.0) - 1.6, _QUANT_C, _QUANT_D),
-        _ratpoly(np.maximum(r, 5.0) - 5.0, _QUANT_E, _QUANT_F),
-    )
+    # the far tail (r > 5, and NaN) is rare: evaluate each branch only where it applies
+    near = r <= 5.0
+    far = ~near
+    val = np.empty_like(r)
+    val[near] = _ratpoly(r[near] - 1.6, _QUANT_C, _QUANT_D)
+    val[far] = _ratpoly(r[far] - 5.0, _QUANT_E, _QUANT_F)
     return np.where(q < 0.0, -val, val)
 
 
@@ -233,6 +237,12 @@ def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
     return normal_quantile(buf, out=buf)
 
 
+def _dense_order(key: Monomial) -> tuple[int, ...]:
+    """Sort key on sparse monomial keys that orders them as the lexicographic
+    order orders their dense exponent vectors."""
+    return tuple(x for i, e in key for x in (-i, e))
+
+
 def sample_gaussian_polynomial(
     f: GaussianPolynomial,
     n: int,
@@ -256,11 +266,12 @@ def sample_gaussian_polynomial(
 
     assignment = dict(assignment or {})
     terms = []
-    for exps, coef in sorted(f.terms.items()):
+    for key in sorted(f.terms, key=_dense_order):
+        coef = f.terms[key]
         value = coef.evaluate_float(assignment) if coef.variables else float(
             coef.constant_value()
         )
-        terms.append((tuple((i, e) for i, e in enumerate(exps) if e), value))
+        terms.append((key, value))
 
     out = np.empty(n, dtype=np.float64)
     rows = _chunk_rows(d)

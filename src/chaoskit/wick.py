@@ -4,7 +4,7 @@ Two independent routes to bivariate Gaussian moments are kept deliberately
 separate so they can check each other:
 
 * :func:`gaussian_moment` reduces the first remaining factor against every
-  other factor (pairing recursion, memoized on the multidegree), and
+  other factor (pairing recursion, memoized on the monomial), and
 * :func:`gaussian_moment_bivariate_conditional` integrates conditional
   moments of V given U, never touching the pairing recursion.
 """
@@ -35,6 +35,10 @@ __all__ = [
 DEGREE_CAP = 40
 
 
+# Sparse monomial key: sorted (coordinate, exponent >= 1) pairs; () is the constant.
+Monomial = tuple[tuple[int, int], ...]
+
+
 class DegreeCapError(ValueError):
     """Requested moment exceeds the supported total degree."""
 
@@ -50,6 +54,8 @@ def gaussian_moment_1d(k: int) -> int:
 
 _ONE = ParamPoly.constant(1)
 _ZERO = ParamPoly()
+# E[G^e] for every exponent a validated monomial can carry.
+_MOMENTS_1D = tuple(gaussian_moment_1d(e) for e in range(DEGREE_CAP + 1))
 
 
 def _unit_row(d: int, i: int) -> tuple[ParamPoly, ...]:
@@ -60,7 +66,7 @@ def _unit_row(d: int, i: int) -> tuple[ParamPoly, ...]:
 class CovSpec:
     """Symmetric covariance matrix whose entries are exact ParamPoly values."""
 
-    __slots__ = ("dimension", "entries", "_moment_cache", "_is_identity")
+    __slots__ = ("dimension", "_entries", "_moment_cache", "_is_identity")
 
     def __init__(self, entries: Sequence[Sequence[Union[ParamPoly, int, Fraction]]]):
         rows = [tuple(ParamPoly._coerce(v) for v in row) for row in entries]
@@ -74,20 +80,26 @@ class CovSpec:
             )
             raise ValueError(f"covariance not symmetric at ({i}, {j})")
         self.dimension = d
-        self.entries = tuple(rows)
-        self._moment_cache: dict[tuple[int, ...], ParamPoly] = {}
+        self._entries = tuple(rows)
+        self._moment_cache: dict[Monomial, ParamPoly] = {}
         self._is_identity = all(row == _unit_row(d, i) for i, row in enumerate(rows))
-
-    _identity_cache: dict[int, "CovSpec"] = {}
 
     @classmethod
     def identity(cls, dimension: int) -> "CovSpec":
-        """The i.i.d. standard Gaussian covariance (cached per dimension)."""
-        cov = cls._identity_cache.get(dimension)
-        if cov is None:
-            cov = cls([_unit_row(dimension, i) for i in range(dimension)])
-            cls._identity_cache[dimension] = cov
+        """The i.i.d. standard Gaussian covariance; rows are built only when read."""
+        if dimension < 1:
+            raise ValueError("covariance entries must form a square matrix")
+        cov = cls.__new__(cls)
+        cov.dimension = dimension
+        cov._entries = None
+        cov._moment_cache = {}
+        cov._is_identity = True
         return cov
+
+    @property
+    def entries(self) -> tuple[tuple[ParamPoly, ...], ...]:
+        d = self.dimension
+        return self._entries or tuple(_unit_row(d, i) for i in range(d))
 
     @classmethod
     def bivariate(cls, rho: Union[ParamPoly, int, Fraction, None] = None) -> "CovSpec":
@@ -102,7 +114,7 @@ class CovSpec:
 
     def parameters(self) -> tuple[str, ...]:
         names: set[str] = set()
-        for row in self.entries:
+        for row in self._entries or ():
             for entry in row:
                 names.update(entry.variables)
         return tuple(sorted(names))
@@ -110,7 +122,11 @@ class CovSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CovSpec):
             return NotImplemented
-        return self.dimension == other.dimension and self.entries == other.entries
+        return (
+            self.dimension == other.dimension
+            and self._is_identity == other._is_identity
+            and (self._is_identity or self._entries == other._entries)
+        )
 
     __hash__ = None
 
@@ -175,39 +191,42 @@ class CovSpec:
 # ---------------------------------------------------------------------------
 
 
-def _moment(cov: CovSpec, multidegree: tuple[int, ...]) -> ParamPoly:
-    """Memoized moment of one monomial; assumes the multidegree is validated."""
-    if sum(multidegree) % 2:
-        return ParamPoly()
-    cached = cov._moment_cache.get(multidegree)
-    if cached is not None:
-        return cached
+def _moment(cov: CovSpec, key: Monomial) -> ParamPoly:
+    """Moment of the monomial with sparse key ``key``; assumes it is validated.
+
+    Under the identity, the product of 1-D moments.  Otherwise the pairing
+    recursion on the first factor, memoized per covariance.
+    """
     if cov.is_identity:
         value = 1
-        for e in multidegree:
-            if e:
-                value *= gaussian_moment_1d(e)
-        result = ParamPoly.constant(value)
-    elif not any(multidegree):
-        result = ParamPoly.constant(1)
-    else:
-        # Pair the first remaining factor with every other factor.
-        i = next(k for k, e in enumerate(multidegree) if e)
-        beta = multidegree[:i] + (multidegree[i] - 1,) + multidegree[i + 1 :]
-        result = ParamPoly()
-        for k, remaining in enumerate(beta):
-            if remaining:
-                reduced = beta[:k] + (remaining - 1,) + beta[k + 1 :]
-                result = result + remaining * cov.entries[i][k] * _moment(cov, reduced)
-    cov._moment_cache[multidegree] = result
+        for _, e in key:
+            value *= _MOMENTS_1D[e]
+        return ParamPoly.constant(value)
+    if sum(e for _, e in key) % 2:
+        return _ZERO
+    if not key:
+        return _ONE
+    cached = cov._moment_cache.get(key)
+    if cached is not None:
+        return cached
+    # Pair the first factor x_i with every remaining factor x_k.
+    (i, e), rest = key[0], key[1:]
+    beta = ((i, e - 1),) + rest if e > 1 else rest
+    result = ParamPoly()
+    for pos, (k, remaining) in enumerate(beta):
+        lowered = ((k, remaining - 1),) if remaining > 1 else ()
+        reduced = beta[:pos] + lowered + beta[pos + 1 :]
+        result = result + remaining * cov.entries[i][k] * _moment(cov, reduced)
+    cov._moment_cache[key] = result
     return result
 
 
 def gaussian_moment(multidegree: Sequence[int], cov: CovSpec) -> ParamPoly:
     """E[prod_i Z_i^{multidegree[i]}] for the centered Gaussian vector of ``cov``.
 
-    Pairing recursion on the first remaining factor, memoized per covariance.
-    Zero whenever the total degree is odd.
+    Pairing recursion on the first remaining factor, memoized per covariance;
+    under the identity, a product of 1-D moments.  Zero whenever the total
+    degree is odd.
     """
     md = tuple(int(e) for e in multidegree)
     if len(md) != cov.dimension:
@@ -218,7 +237,7 @@ def gaussian_moment(multidegree: Sequence[int], cov: CovSpec) -> ParamPoly:
         raise ValueError("multidegree entries must be non-negative")
     if sum(md) > DEGREE_CAP:
         raise DegreeCapError(f"total degree {sum(md)} exceeds cap {DEGREE_CAP}")
-    return _moment(cov, md)
+    return _moment(cov, tuple((i, e) for i, e in enumerate(md) if e))
 
 
 def gaussian_moment_bivariate_conditional(n: int, m: int) -> ParamPoly:
@@ -251,12 +270,27 @@ def gaussian_moment_bivariate_conditional(n: int, m: int) -> ParamPoly:
 # ---------------------------------------------------------------------------
 
 
+def _merge(a: Monomial, b: Monomial) -> Monomial:
+    """Sparse key of the product of the monomials with keys a and b."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for i, e in b:
+        out[i] = out.get(i, 0) + e
+    return tuple(sorted(out.items()))
+
+
 class GaussianPolynomial:
     """Polynomial of the coordinates of a Gaussian vector.
 
-    ``terms`` maps a coordinate-exponent tuple (length = dimension) to an
-    exact ParamPoly coefficient, so the same object covers both plain
-    rational functionals and families swept by symbolic parameters.
+    ``terms`` maps a sparse monomial key, the sorted ``((i, e), ...)`` pairs
+    of each coordinate i with its exponent e >= 1 (``()`` for the constant),
+    to an exact ParamPoly coefficient, so the same object covers both plain
+    rational functionals and families swept by symbolic parameters.  The
+    constructor takes dense exponent tuples (length = dimension); operations
+    build their results from sparse keys directly.
     """
 
     __slots__ = ("cov", "terms")
@@ -266,8 +300,7 @@ class GaussianPolynomial:
         cov: CovSpec,
         terms: Mapping[tuple[int, ...], Union[ParamPoly, int, Fraction]] | None = None,
     ):
-        self.cov = cov
-        cleaned: dict[tuple[int, ...], ParamPoly] = {}
+        sparse: dict[Monomial, ParamPoly] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(map(int, exps))
             if len(exps) != cov.dimension:
@@ -276,15 +309,24 @@ class GaussianPolynomial:
                 )
             if min(exps) < 0:
                 raise ValueError("negative exponent")
+            key = tuple((i, e) for i, e in enumerate(exps) if e)
             coeff = ParamPoly._coerce(coeff)
-            if not coeff.is_zero:
-                existing = cleaned.get(exps)
-                cleaned[exps] = coeff if existing is None else existing + coeff
-        self.terms = {e: c for e, c in cleaned.items() if not c.is_zero}
+            existing = sparse.get(key)
+            sparse[key] = coeff if existing is None else existing + coeff
+        self.cov = cov
+        self.terms = {k: c for k, c in sparse.items() if not c.is_zero}
+
+    @classmethod
+    def _of(cls, cov: CovSpec, terms: Mapping[Monomial, ParamPoly]):
+        """From sparse keys that the package built (not validated); drops zeros."""
+        poly = cls.__new__(cls)
+        poly.cov = cov
+        poly.terms = {k: c for k, c in terms.items() if not c.is_zero}
+        return poly
 
     @classmethod
     def constant(cls, cov: CovSpec, value) -> "GaussianPolynomial":
-        return cls(cov, {(0,) * cov.dimension: ParamPoly._coerce(value)})
+        return cls._of(cov, {(): ParamPoly._coerce(value)})
 
     @classmethod
     def coordinate(cls, cov: CovSpec, index: int, power: int = 1) -> "GaussianPolynomial":
@@ -297,7 +339,7 @@ class GaussianPolynomial:
         return not self.terms
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e for _, e in key) for key in self.terms), default=0)
 
     def _require_same_cov(self, other: "GaussianPolynomial"):
         if self.cov is not other.cov and self.cov != other.cov:
@@ -308,15 +350,15 @@ class GaussianPolynomial:
             return self + GaussianPolynomial.constant(self.cov, other)
         self._require_same_cov(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            existing = out.get(exps)
-            out[exps] = c if existing is None else existing + c
-        return GaussianPolynomial(self.cov, out)
+        for key, c in other.terms.items():
+            existing = out.get(key)
+            out[key] = c if existing is None else existing + c
+        return GaussianPolynomial._of(self.cov, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianPolynomial":
-        return GaussianPolynomial(self.cov, {e: -c for e, c in self.terms.items()})
+        return GaussianPolynomial._of(self.cov, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "GaussianPolynomial":
         if not isinstance(other, GaussianPolynomial):
@@ -327,18 +369,18 @@ class GaussianPolynomial:
         if not isinstance(other, GaussianPolynomial):
             # scalar (int / Fraction / ParamPoly) scaling
             scale = ParamPoly._coerce(other)
-            return GaussianPolynomial(
-                self.cov, {e: c * scale for e, c in self.terms.items()}
+            return GaussianPolynomial._of(
+                self.cov, {k: c * scale for k, c in self.terms.items()}
             )
         self._require_same_cov(other)
-        out: dict[tuple[int, ...], ParamPoly] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+        out: dict[Monomial, ParamPoly] = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = _merge(ka, kb)
                 prod = ca * cb
                 existing = out.get(key)
                 out[key] = prod if existing is None else existing + prod
-        return GaussianPolynomial(self.cov, out)
+        return GaussianPolynomial._of(self.cov, out)
 
     __rmul__ = __mul__
 
@@ -359,15 +401,16 @@ class GaussianPolynomial:
 
     def partial_derivative(self, index: int) -> "GaussianPolynomial":
         """d/dx_index, treating the coordinates as plain variables."""
-        out: dict[tuple[int, ...], ParamPoly] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e:
-                key = exps[:index] + (e - 1,) + exps[index + 1 :]
-                scaled = c * e
-                existing = out.get(key)
-                out[key] = scaled if existing is None else existing + scaled
-        return GaussianPolynomial(self.cov, out)
+        out: dict[Monomial, ParamPoly] = {}
+        for key, c in self.terms.items():
+            for pos, (i, e) in enumerate(key):
+                if i == index:
+                    lowered = ((i, e - 1),) if e > 1 else ()
+                    reduced = key[:pos] + lowered + key[pos + 1 :]
+                    scaled = c * e
+                    existing = out.get(reduced)
+                    out[reduced] = scaled if existing is None else existing + scaled
+        return GaussianPolynomial._of(self.cov, out)
 
     def __repr__(self) -> str:
         return f"GaussianPolynomial({len(self.terms)} terms, d={self.cov.dimension})"
@@ -375,25 +418,17 @@ class GaussianPolynomial:
 
 def expectation(f: GaussianPolynomial) -> ParamPoly:
     """E[f] as an exact polynomial in the covariance parameters."""
-    total = ParamPoly()
-    for exps, coeff in f.terms.items():
-        degree = sum(exps)
-        if degree > DEGREE_CAP:
-            raise DegreeCapError(f"monomial degree {degree} exceeds cap {DEGREE_CAP}")
-        if degree % 2:
-            continue
-        total = total + coeff * _moment(f.cov, exps)
-    return total
+    return expectation_of_product(f, GaussianPolynomial.constant(f.cov, 1))
 
 
 def _parity_classes(f: GaussianPolynomial, identity: bool):
     groups: dict[tuple, list] = {}
-    for exps, coeff in f.terms.items():
+    for key, coeff in f.terms.items():
         if identity:
-            sig = tuple(i for i, e in enumerate(exps) if e % 2)
+            sig = tuple(i for i, e in key if e % 2)
         else:
-            sig = (sum(exps) % 2,)
-        groups.setdefault(sig, []).append((exps, coeff))
+            sig = (sum(e for _, e in key) % 2,)
+        groups.setdefault(sig, []).append((key, coeff))
     return groups
 
 
@@ -418,10 +453,9 @@ def expectation_of_product(f: GaussianPolynomial, g: GaussianPolynomial) -> Para
         gterms = right.get(sig)
         if not gterms:
             continue
-        for ea, ca in fterms:
-            for eb, cb in gterms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                total = total + ca * cb * _moment(f.cov, key)
+        for ka, ca in fterms:
+            for kb, cb in gterms:
+                total = total + ca * cb * _moment(f.cov, _merge(ka, kb))
     return total
 
 

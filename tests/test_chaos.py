@@ -34,6 +34,7 @@ from chaoskit.chaos import (
     stein_bound,
     symmetrize,
 )
+from chaoskit.chaos import _contraction_norm_sq
 from chaoskit.cli import _random_chaos_element, _random_sym_tensor
 from chaoskit.montecarlo import FAMILY_NAMES, family_point
 from chaoskit.wick import (
@@ -197,6 +198,18 @@ def test_contract_sym_matches_symmetrized_contract():
             full = contract(a, b, r)
             assert full.entries == brute_force_contract(a, b, r)
             assert contract_sym(a, b, r) == symmetrize(full)
+            assert _contraction_norm_sq(a, b, r) == full.norm_sq()
+
+
+def test_block_contraction_norms_on_the_bound_corpora():
+    # u (x)_r u for r = 1..p-1, the norms both bounds take, on every kernel of
+    # the criterion 9 pairs and the criterion 10 points
+    kernels = [t for pair in mixed_term_pairs() for t in pair]
+    for n in (4, 16, 64, 256):
+        kernels += family_point("dyadic_p2", n).scaled.element.components.values()
+    for u in kernels:
+        for r in range(1, u.order):
+            assert _contraction_norm_sq(u, u, r) == contract(u, u, r).norm_sq()
 
 
 def brute_force_contract(u, v, r):
@@ -658,7 +671,8 @@ def exact_engine_digest() -> str:
 
     for _ in range(6):
         x = _random_chaos_element(rng)
-        put(sorted((e, c.constant_value()) for e, c in gamma(x).terms.items()))
+        dense = lambda key: tuple(dict(key).get(i, 0) for i in range(x.dimension))
+        put(sorted((dense(k), c.constant_value()) for k, c in gamma(x).terms.items()))
         put(gamma_variance(x))
         f = x.compile()
         put([cumulant(f, n).constant_value() for n in range(1, 7)])

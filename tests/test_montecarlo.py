@@ -189,6 +189,7 @@ def test_sampling_is_prefix_stable_across_chunks():
 # quantile and chunks run one after another.
 V1_FIRST_CHUNK_SHA256 = "f3ce8f1b51c646bee4c8faf533fbf782bad6cef63366359688a6972782123997"
 V1_DYADIC_512_SHA256 = "233b3425f737c717bc3696500d17108b071574409efa69372f4fb0336d139b14"
+V1_BLOCKS_64_SHA256 = "27de67a7479168106450793a11b03daf1c5b7d4b55193daa91231e64609077eb"
 
 
 def _sha256(values: np.ndarray) -> str:
@@ -207,6 +208,30 @@ def test_v1_stream_multichunk_wide_digest():
     assert element.dimension == 1024  # 2^21 // 1024 = 2048 rows: 8 chunks
     values = sample_chaos(element, 1 << 14, seed=42).values
     assert _sha256(values) == V1_DYADIC_512_SHA256
+
+
+def test_v1_stream_mixed_support_digest():
+    # the I_1, I_2 and I_3 components give terms on one, two and three
+    # coordinates, summed in the lexicographic order of dense exponent vectors
+    element = family_point("independent_blocks_M3", 64).scaled.element
+    assert element.dimension == 384  # 2^21 // 384 = 5461 rows: 4 chunks
+    values = sample_chaos(element, 1 << 14, seed=42).values
+    assert _sha256(values) == V1_BLOCKS_64_SHA256
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
+        max_size=12,
+        unique_by=tuple,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_sort_key_orders_as_dense_vectors(vectors):
+    sparse = [tuple((i, e) for i, e in enumerate(v) if e) for v in vectors]
+    ordered = sorted(sparse, key=montecarlo._dense_order)
+    dense = [tuple(dict(key).get(i, 0) for i in range(5)) for key in ordered]
+    assert dense == sorted(map(tuple, vectors))
 
 
 def test_largest_draw_gives_a_finite_normal(monkeypatch):

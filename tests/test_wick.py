@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoskit import wick
 from chaoskit.algebra import ParamPoly, double_factorial, param_eval
+from chaoskit.chaos import SymTensor, multiple_integral
 from chaoskit.wick import (
     CovSpec,
     DegreeCapError,
@@ -114,6 +116,32 @@ def test_covspec_is_identity():
     assert not CovSpec.bivariate().is_identity
     assert CovSpec.identity(3).is_identity
     assert CovSpec.identity(3) == CovSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_identity_builds_no_rows_until_asked(monkeypatch):
+    def no_rows(d, i):
+        raise AssertionError("an identity entry row was built")
+
+    monkeypatch.setattr(wick, "_unit_row", no_rows)
+    big = CovSpec.identity(1 << 20)
+    assert big.dimension == 1 << 20 and big.is_identity
+    assert big == CovSpec.identity(1 << 20) and big != CovSpec.identity(3)
+    assert big.parameters() == ()
+    # moments under the identity need neither rows nor a cache
+    f = multiple_integral(SymTensor(1 << 20, 2, {(5, 9): 1}))
+    assert expectation_of_product(f, f) == 4
+    assert not f.cov._moment_cache
+
+
+def test_identity_entries_on_request():
+    for d in (1, 2, 5):
+        rows = tuple(
+            tuple(ParamPoly.constant(int(i == j)) for j in range(d)) for i in range(d)
+        )
+        cov = CovSpec.identity(d)
+        assert cov.entries == rows
+        assert cov.numeric_matrix() == [[float(i == j) for j in range(d)] for i in range(d)]
+        assert cov == CovSpec(rows) and CovSpec(rows).is_identity
 
 
 def test_cholesky_reproduces_matrix():
