@@ -726,6 +726,8 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             b <= a for a, b in zip(config.n_grid, config.n_grid[1:])
         ):
             parser.error("n-grid must be strictly increasing")
+        if any(n < 1 for n in config.n_grid):
+            parser.error("n-grid entries must be positive")
         if config.samples < 100:
             parser.error("samples must be at least 100 for simulation commands")
     return config

@@ -5,11 +5,10 @@ Randomness contract
 All sampling is driven by numpy's Philox counter-based generator.  Draws are
 partitioned into chunks of ``max(1, 2**21 // dimension)`` rows; chunk ``c`` of
 a run with seed ``s`` uses ``SeedSequence(entropy=s, spawn_key=(c,))``, so the
-sample stream is a pure function of (seed, size, dimension).  Chunks run on up
-to one thread per CPU available to the process; the worker count is derived
-from the machine, not configured, and since each chunk draws, transforms and
-evaluates into its own rows, the output is bitwise identical to a serial run.
-Each worker reuses one chunk-sized buffer allocated by the calling thread.
+sample stream is a pure function of (seed, size, dimension).  Chunks run one
+after another in stream order, each drawing, transforming and evaluating
+inside one caller-allocated buffer that holds one chunk: 2**21 values at
+most, unless a single row is wider.
 Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers k, with the
 one value that rounds up to 1.0 (k = 2**53 - 1) clamped to 1 - 2**-53, so every
 uniform lies in (0, 1).  Standard normals are obtained by inverse transform
@@ -28,8 +27,6 @@ across runs with the same seed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -216,14 +213,6 @@ def _chunk_rows(dimension: int) -> int:
     return max(1, (1 << 21) // dimension)
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
     """Fill ``buf`` (rows x dimension) with chunk ``chunk_index``'s normals."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
@@ -254,9 +243,8 @@ def sample_gaussian_polynomial(
     Coordinates are sampled as i.i.d. standard normals and, when the
     covariance is not the identity, pushed through its (pivoted) Cholesky
     factor evaluated at ``assignment``.  Term coefficients must be numeric
-    after the same assignment.  Chunks run on a thread pool with one worker
-    per available CPU and at most one per chunk, worker w taking chunks w,
-    w + workers, ...; with a single chunk or a single CPU they run inline.
+    after the same assignment.  Chunks run one after another in stream order,
+    each in the same chunk-sized buffer.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -275,15 +263,8 @@ def sample_gaussian_polynomial(
 
     out = np.empty(n, dtype=np.float64)
     rows = _chunk_rows(d)
-    starts = range(0, n, rows)
-    chunks = range(len(starts))
-    workers = min(_available_cpus(), len(chunks))
-    # One chunk buffer per worker, allocated here: the workers allocate only
-    # row-sized arrays, so memory use does not depend on thread scheduling.
-    buffers = [np.empty(min(rows, n) * d) for _ in range(workers)]
-
-    def fill(chunk: int, buf: np.ndarray) -> None:
-        start = starts[chunk]
+    buf = np.empty(min(rows, n) * d)
+    for chunk, start in enumerate(range(0, n, rows)):
         stop = min(start + rows, n)
         z = _normal_chunk(seed, chunk, buf[: (stop - start) * d].reshape(-1, d))
         x = z if factor is None else z @ factor.T
@@ -295,17 +276,6 @@ def sample_gaussian_polynomial(
                 term *= col if e == 1 else col**e
             acc += term
         out[start:stop] = acc
-
-    def run(worker: int) -> None:
-        for chunk in chunks[worker::workers]:
-            fill(chunk, buffers[worker])
-
-    if workers == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run, range(workers)):
-                pass
     return SampleSet(values=out, seed=int(seed))
 
 

@@ -257,6 +257,12 @@ def test_main_rejects_bad_grid(tmp_path):
     assert code == 2
 
 
+def test_main_rejects_nonpositive_grid(tmp_path, capsys):
+    code = run_main(["clt", "--n-grid", "0", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "n-grid entries must be positive" in capsys.readouterr().err
+
+
 def test_main_rejects_small_samples(tmp_path):
     code = run_main(
         ["clt", "--samples", "50", "--output", str(tmp_path / "x.csv")]
@@ -355,6 +361,7 @@ def test_config_file_must_be_object(tmp_path):
         ({"n_grid": [4, "x"]}, "n_grid must be a list of integers"),
         ({"seed": None}, "seed must be an integer"),
         ({"output_path": 5}, "output_path must be a string"),
+        ({"n_grid": [0, 4]}, "n-grid entries must be positive"),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, values, message):

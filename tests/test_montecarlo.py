@@ -3,7 +3,6 @@ families, and the simulation experiment driver."""
 
 import hashlib
 import math
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -251,51 +250,20 @@ def test_largest_draw_gives_a_finite_normal(monkeypatch):
     assert np.all(z == normal_quantile(np.nextafter(1.0, 0.0)))
 
 
-def test_threaded_chunks_match_serial(monkeypatch):
-    # 5 chunks of 2^21 // 40 rows, on one thread and then on more threads
-    # than this machine may have cores, switching threads as often as it can;
-    # f has a correlated covariance, so each chunk also goes through a matmul
-    entries = [[Fraction(int(i == j)) for j in range(40)] for i in range(40)]
-    entries[0][1] = entries[1][0] = Fraction(1, 2)
-    f = GaussianPolynomial(
-        CovSpec(entries), {(1,) * 40: 1, (2,) + (0,) * 39: Fraction(1, 3)}
-    )
-    x = ChaosElement(40, {2: SymTensor(40, 2, {(0, 1): 1, (3, 3): Fraction(1, 2)})})
-    results = []
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for cpus in (1, 3):
-            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
-            results.append(
-                (
-                    sample_gaussian_polynomial(f, 250_000, seed=8).values,
-                    sample_chaos(x, 250_000, seed=8).values,
-                )
-            )
-    finally:
-        sys.setswitchinterval(interval)
-    (serial_f, serial_x), (threaded_f, threaded_x) = results
-    assert serial_f.tobytes() == threaded_f.tobytes()
-    assert serial_x.tobytes() == threaded_x.tobytes()
-
-
-def test_sampling_holds_one_chunk_buffer_per_worker(monkeypatch):
-    # 3 chunks of 2^21 // 64 rows; each worker draws, transforms and
-    # evaluates inside one 2^21-value buffer made by the caller, so peak
-    # allocation is set by the worker count, not by thread scheduling
+def test_sampling_holds_one_chunk_buffer():
+    # 3 chunks of 2^21 // 64 rows, run one after another: each draws,
+    # transforms and evaluates inside the one 2^21-value buffer made by the
+    # caller, so peak allocation is one chunk buffer plus row-sized arrays
     cov = CovSpec.identity(64)
     f = GaussianPolynomial(cov, {(1, 1) + (0,) * 62: 1, (0, 0, 2) + (0,) * 61: 1})
     chunk_bytes = (1 << 21) * 8
-    for cpus in (1, 2):
-        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
-        tracemalloc.start()
-        try:
-            sample_gaussian_polynomial(f, 3 * (1 << 15), seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cpus * chunk_bytes <= peak < cpus * chunk_bytes + (1 << 22)
+    tracemalloc.start()
+    try:
+        sample_gaussian_polynomial(f, 3 * (1 << 15), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk_bytes <= peak < chunk_bytes + (1 << 22)
 
 
 def test_h2_sample_mean_band():
