@@ -9,12 +9,12 @@ inputs, and :func:`real_roots`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
-    "Rational",
     "ParamPoly",
     "HermitePoly",
     "RootFindError",
@@ -24,11 +24,6 @@ __all__ = [
     "param_eval",
     "real_roots",
 ]
-
-# Arbitrary-precision rational scalar.  fractions.Fraction already guarantees
-# the canonical form we need (lowest terms, positive denominator) and exact
-# field arithmetic, so it is used directly rather than wrapped.
-Rational = Fraction
 
 ExactScalar = Union[Fraction, int]
 
@@ -78,7 +73,7 @@ class ParamPoly:
 
         accumulated: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != len(names):
                 raise ValueError(f"exponent tuple {exps!r} does not match {names!r}")
             if any(e < 0 for e in exps):
@@ -418,21 +413,22 @@ class RootFindError(RuntimeError):
     """Root polishing failed to converge within its iteration budget."""
 
 
+_GRID_CELLS = 1024
+_POLISH_BUDGET = 50
+
+
 def real_roots(
     poly: ParamPoly,
     interval: tuple[float, float],
     tol: float = 1e-12,
-    *,
-    grid_cells: int = 1024,
-    polish_budget: int = 50,
 ) -> list[float]:
     """Real roots of a univariate polynomial on a closed interval.
 
-    Sign changes are isolated on a uniform grid of ``grid_cells`` cells,
+    Sign changes are isolated on a uniform grid of ``_GRID_CELLS`` cells,
     refined by bisection to width <= tol, then polished with Newton steps.
     Roots are returned ascending and deduplicated to within 2*tol.  Raises
     :class:`RootFindError` if a Newton polish fails to settle within
-    ``polish_budget`` iterations.
+    ``_POLISH_BUDGET`` iterations.
     """
     if not isinstance(poly, ParamPoly) or len(poly.variables) != 1:
         raise ValueError("real_roots expects a univariate ParamPoly")
@@ -453,11 +449,11 @@ def real_roots(
     def fprime(x: float) -> float:
         return deriv.evaluate_float({name: x})
 
-    xs = [lo + (hi - lo) * k / grid_cells for k in range(grid_cells + 1)]
+    xs = [lo + (hi - lo) * k / _GRID_CELLS for k in range(_GRID_CELLS + 1)]
     vals = [f(x) for x in xs]
 
     roots = [x for x, v in zip(xs, vals) if v == 0.0]
-    for k in range(grid_cells):
+    for k in range(_GRID_CELLS):
         fa, fb = vals[k], vals[k + 1]
         if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
             continue
@@ -473,7 +469,7 @@ def real_roots(
             else:
                 b = mid
         x = 0.5 * (a + b)
-        for _ in range(polish_budget):
+        for _ in range(_POLISH_BUDGET):
             g = fprime(x)
             if g == 0.0:
                 break  # keep the bisection value; already within tol
@@ -486,7 +482,7 @@ def real_roots(
                 break
         else:
             raise RootFindError(
-                f"Newton polish did not converge within {polish_budget} iterations"
+                f"Newton polish did not converge within {_POLISH_BUDGET} iterations"
             )
         roots.append(min(max(x, lo), hi))
 

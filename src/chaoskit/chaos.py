@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -86,7 +87,7 @@ class SymTensor:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (coeffs or {}).items():
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(map(operator.index, idx))
             if len(idx) != order:
                 raise ValueError(f"index {idx!r} does not have order {order}")
             if any(not 0 <= i < dimension for i in idx):
@@ -99,11 +100,6 @@ class SymTensor:
         self.dimension = dimension
         self.order = order
         self.coeffs = cleaned
-
-    @classmethod
-    def basis(cls, dimension: int, index: int) -> "SymTensor":
-        """The order-1 coordinate vector e_index."""
-        return cls(dimension, 1, {(index,): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -198,7 +194,7 @@ class Tensor:
             raise ValueError("order must be non-negative")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (entries or {}).items():
-            idx = tuple(map(int, idx))
+            idx = tuple(map(operator.index, idx))
             if len(idx) != order:
                 raise ValueError(f"index {idx!r} does not have order {order}")
             if idx and (min(idx) < 0 or max(idx) >= dimension):
@@ -383,7 +379,7 @@ def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
 class ChaosElement:
     """Finite sum of multiple integrals, stored as {order: kernel}."""
 
-    __slots__ = ("dimension", "components", "_compiled")
+    __slots__ = ("dimension", "components")
 
     def __init__(self, dimension: int, components: Mapping[int, SymTensor]):
         cleaned: dict[int, SymTensor] = {}
@@ -400,7 +396,6 @@ class ChaosElement:
                 cleaned[order] = tensor
         self.dimension = dimension
         self.components = dict(sorted(cleaned.items()))
-        self._compiled: GaussianPolynomial | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -414,13 +409,11 @@ class ChaosElement:
         )
 
     def compile(self) -> GaussianPolynomial:
-        """Expand into an explicit polynomial of i.i.d. coordinates (cached)."""
-        if self._compiled is None:
-            self._compiled = sum(
-                (multiple_integral(u) for u in self.components.values()),
-                GaussianPolynomial(CovSpec.identity(self.dimension), {}),
-            )
-        return self._compiled
+        """Expand into an explicit polynomial of i.i.d. coordinates."""
+        return sum(
+            (multiple_integral(u) for u in self.components.values()),
+            GaussianPolynomial(CovSpec.identity(self.dimension), {}),
+        )
 
     def scale(self, factor: Union[Fraction, int]) -> "ChaosElement":
         return ChaosElement(
@@ -498,6 +491,54 @@ class ProductExpansion:
     constant: Fraction
 
 
+def _product_sum(
+    pairs: list[tuple[SymTensor, SymTensor, Union[Fraction, int]]],
+    dimension: int,
+    by_r: bool = False,
+) -> tuple[ChaosElement, Fraction]:
+    """sum over (u, v, w) and r of w r! C(p,r) C(q,r) u (x)~_r v, times r if ``by_r``.
+
+    The one product-formula sum: returns the components of order >= 1 as a
+    chaos element and the r = p = q terms as one order-0 constant.  With
+    ``by_r`` the r = 0 terms vanish and are skipped.
+    """
+    components: dict[int, SymTensor] = {}
+    constant = Fraction(0)
+    for u, v, w in pairs:
+        p, q = u.order, v.order
+        for r in range(1 if by_r else 0, min(p, q) + 1):
+            coef = w * math.factorial(r) * math.comb(p, r) * math.comb(q, r)
+            if by_r:
+                coef *= r
+            term = _sym_contract(u, v, r)
+            if isinstance(term, Fraction):
+                constant += coef * term
+            elif not term.is_zero:
+                k = term.order
+                term = term.scale(coef)
+                components[k] = components[k] + term if k in components else term
+    return ChaosElement(dimension, components), constant
+
+
+def _square(X: ChaosElement, by_r: bool = False) -> tuple[ChaosElement, Fraction]:
+    """X^2, or gamma(X) when ``by_r``, by the product formula.
+
+    X^2 sums I_p(u_p) I_q(u_q) over ordered component pairs; gamma(X) =
+    sum_{p,q} q^{-1} <D I_p(u_p), D I_q(u_q)> weights each (p, q, r) product
+    term by r/q.  The pairs (p, q) and (q, p) share one symmetrized
+    contraction, so each unordered pair is summed once with the two weights
+    added: 1 or 2 for X^2, r/p or r (p+q)/(pq) for gamma(X).
+    """
+    weight = (lambda k: Fraction(1, k)) if by_r else (lambda k: 1)
+    items = list(X.components.items())
+    pairs = [
+        (u, v, weight(p) if p == q else weight(p) + weight(q))
+        for i, (p, u) in enumerate(items)
+        for q, v in items[i:]
+    ]
+    return _product_sum(pairs, X.dimension, by_r)
+
+
 def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
     """Expand I_p(u) I_q(v) = sum_r r! C(p,r) C(q,r) I_{p+q-2r}(sym contraction).
 
@@ -505,17 +546,7 @@ def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
     """
     if u.dimension != v.dimension:
         raise ValueError("product formula needs matching dimensions")
-    p, q = u.order, v.order
-    components: dict[int, SymTensor] = {}
-    constant = Fraction(0)
-    for r in range(0, min(p, q) + 1):
-        coef = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-        term = _sym_contract(u, v, r)
-        if isinstance(term, Fraction):
-            constant += coef * term
-        elif not term.is_zero:
-            components[p + q - 2 * r] = term.scale(coef)
-    return ProductExpansion(ChaosElement(u.dimension, components), constant)
+    return ProductExpansion(*_product_sum([(u, v, 1)], u.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -563,46 +594,13 @@ def gamma(X: ChaosElement) -> GaussianPolynomial:
     return malliavin_derivative(X).inner(anti)
 
 
-def _gamma_chaos(
-    pairs: list[tuple[SymTensor, SymTensor, int]], dimension: int
-) -> ChaosElement:
-    """The non-constant part of sum_{(u, v, w)} (w / p) q^{-1} <D I_p(u), D I_q(v)>.
-
-    For p <= q, q^{-1} <D I_p(u), D I_q(v)> = p sum_{r=1}^{p} (r-1)!
-    C(p-1, r-1) C(q-1, r-1) I_{p+q-2r}(u (x)~_r v); the weight w takes the
-    place of the leading p.
-    """
-    g = ChaosElement(dimension, {})
-    for u, v, w in pairs:
-        p, q = u.order, v.order
-        for r in range(1, p + 1):
-            if r == p == q:
-                continue
-            coef = (
-                w
-                * math.factorial(r - 1)
-                * math.comb(p - 1, r - 1)
-                * math.comb(q - 1, r - 1)
-            )
-            term = _sym_contract(u, v, r).scale(coef)
-            g = g + ChaosElement(dimension, {term.order: term})
-    return g
-
-
 def gamma_variance(X: ChaosElement) -> Fraction:
     """Var(gamma(X)) = sum_{k>=1} k! |g_k|^2, exactly.
 
-    g_k is the order-k kernel of gamma(X) = sum_{p,q} q^{-1} <D I_p(u_p),
-    D I_q(u_q)>; the pairs (p, q) and (q, p) share one symmetrized
-    contraction, with weight p + q.  The order-0 part is Var X.
+    g_k is the order-k kernel of gamma(X), the product formula weighted by
+    r/q (see :func:`_square`).  The order-0 part is Var X.
     """
-    items = list(X.components.items())
-    pairs = [
-        (u, v, p if p == q else p + q)
-        for i, (p, u) in enumerate(items)
-        for q, v in items[i:]
-    ]
-    return _gamma_chaos(pairs, X.dimension).variance()
+    return _square(X, by_r=True)[0].variance()
 
 
 def stein_bound(X: ChaosElement, which: str = "combined") -> float:
@@ -633,19 +631,11 @@ def stein_bound(X: ChaosElement, which: str = "combined") -> float:
 def kappa4_exact(X: ChaosElement) -> Fraction:
     """The fourth cumulant of X, exactly.
 
-    X^2 = c + sum_k I_k(h_k) by the product formula, summed over unordered
-    component pairs with weight 2 off the diagonal.  X is centered, so
-    E[X^2] = c, E[X^4] = c^2 + sum_k k! |h_k|^2 and kappa4 = Var(X^2) - 2 c^2.
+    X^2 = c + sum_k I_k(h_k) by the product formula (see :func:`_square`).
+    X is centered, so E[X^2] = c, E[X^4] = c^2 + sum_k k! |h_k|^2 and
+    kappa4 = Var(X^2) - 2 c^2.
     """
-    items = list(X.components.values())
-    square = ChaosElement(X.dimension, {})
-    c = Fraction(0)
-    for i, u in enumerate(items):
-        for v in items[i:]:
-            expansion = product_formula_expand(u, v)
-            weight = 1 if v is u else 2
-            square = square + expansion.element.scale(weight)
-            c += weight * expansion.constant
+    square, c = _square(X)
     return square.variance() - 2 * c * c
 
 
@@ -717,9 +707,8 @@ class MixedTermBound:
 def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
     """Check the cross-term estimate for kernels of orders p < q.
 
-    lhs = E[G^2] with G = q^{-1} <D I_p(u), D I_q(v)> = p sum_{r=1}^{p}
-    (r-1)! C(p-1, r-1) C(q-1, r-1) I_{p+q-2r}(u (x)~_r v), computed exactly
-    by the isometry.  The bound is
+    lhs = E[G^2] with G = q^{-1} <D I_p(u), D I_q(v)>, the product formula
+    weighted by r/q, computed exactly by the isometry.  The bound is
 
         p!^2 C(q-1, p-1)^2 (q-p)! |u|^2 |v (x)_{q-p} v|
         + (p^2/2) sum_{r=1}^{p-1} (r-1)!^2 C(p-1, r-1)^2 C(q-1, r-1)^2
@@ -735,7 +724,8 @@ def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
     if u.dimension != v.dimension:
         raise ValueError("kernels must share a dimension")
     # p < q, so G has no order-0 part and E[G] = 0.
-    lhs = _gamma_chaos([(u, v, p)], u.dimension).variance()
+    g, _ = _product_sum([(u, v, Fraction(1, q))], u.dimension, by_r=True)
+    lhs = g.variance()
 
     A = (
         Fraction(

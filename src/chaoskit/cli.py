@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .algebra import ParamPoly, param_eval
@@ -37,6 +38,8 @@ from .chaos import (
     stein_bound,
 )
 from .counterexamples import (
+    KAPPA4_AT_ROOT_TOL,
+    ROOT_AGREEMENT_TOL,
     counterexample_h1h3,
     h1h5_positivity_certificate,
     h1h5_second_moment,
@@ -52,17 +55,6 @@ DEFAULT_SEED = 42
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SUITE_FAILURE = 3
-
-CSV_COLUMNS = (
-    "suite",
-    "quantity",
-    "n",
-    "exact_value",
-    "estimate",
-    "std_error",
-    "bound",
-    "verdict",
-)
 
 COMMANDS = ("counterexample", "lemma-suite", "bounds-suite", "clt", "positivity")
 
@@ -90,6 +82,9 @@ class Row:
     std_error: float | None = None
     bound: float | None = None
     verdict: bool | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(Row))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +154,9 @@ _E4_REFERENCE = _poly_in_rho(36948, 12960, 21600, 24000)
 _KAPPA4_REFERENCE = _poly_in_rho(3240, 12960, 21600, 24000)
 _E6_REFERENCE = _poly_in_rho(34330920, 62596800, 104328000, 102960000, 32400000)
 _RHO_STAR_PRINTED = -0.39665
+_RHO_STAR_PRINTED_TOL = 1e-4
+# Lower bound on E[X^6] - 15 E[X^2]^3 at rho*, recorded as written.
+_SIXTH_MOMENT_GAP_MIN = "2.4e6"
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +193,42 @@ def _random_chaos_element(rng: random.Random) -> ChaosElement:
 # ---------------------------------------------------------------------------
 
 
+# (quantity, verdict name) per row: the value is report.exact_values[quantity]
+# (a float goes to the estimate column) and the verdict report.verdicts[name].
+_COUNTEREXAMPLE_ROWS = (
+    ("e2", "e2_value"),
+    ("three_e2_squared", None),
+    ("e4_poly", "e4_poly"),
+    ("kappa4_poly", "kappa4_poly"),
+    ("e6_poly", "e6_poly"),
+    ("rho_star_numeric", "rho_star_printed"),
+    ("rho_star_closed_form", "root_agreement"),
+    ("kappa4_at_rho_star", "kappa4_zero_at_root"),
+    ("gaussian_sixth", None),
+    ("e6_at_rho_star", "sixth_moment_gap"),
+    ("sixth_moment_gap", None),
+)
+_POSITIVITY_ROWS = (
+    ("kappa4_poly", None),
+    ("second_moment_poly", "second_moment"),
+    ("discriminant_poly", "discriminant_nonpositive"),
+    ("radicand_poly", None),
+    ("kappa4_at_a0", "kappa4_at_a0"),
+    ("grid_min", "grid_min_positive"),
+    ("certificate", "certificate"),
+)
+
+
+def _rows_from_report(report: ExperimentReport, table) -> list[Row]:
+    rows = []
+    for quantity, verdict in table:
+        value = report.exact_values.get(quantity)
+        column = "estimate" if isinstance(value, float) else "exact_value"
+        verdict = None if verdict is None else report.verdicts[verdict]
+        rows.append(Row(report.name, quantity, verdict=verdict, **{column: value}))
+    return rows
+
+
 def _suite_counterexample(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
     rep = counterexample_h1h3()
     report = ExperimentReport(name="counterexample")
@@ -205,10 +239,10 @@ def _suite_counterexample(config: RunConfig) -> tuple[ExperimentReport, list[Row
             "tolerance.e4_poly": "exact",
             "tolerance.kappa4_poly": "exact",
             "tolerance.e6_poly": "exact",
-            "tolerance.rho_star_printed": 1e-4,
-            "tolerance.root_agreement": 1e-10,
-            "tolerance.kappa4_zero_at_root": 1e-9,
-            "tolerance.sixth_moment_gap": "> 2.4e6",
+            "tolerance.rho_star_printed": _RHO_STAR_PRINTED_TOL,
+            "tolerance.root_agreement": ROOT_AGREEMENT_TOL,
+            "tolerance.kappa4_zero_at_root": KAPPA4_AT_ROOT_TOL,
+            "tolerance.sixth_moment_gap": f"> {_SIXTH_MOMENT_GAP_MIN}",
         }
     )
     three_e2_sq = 3 * rep.e2**2
@@ -234,53 +268,15 @@ def _suite_counterexample(config: RunConfig) -> tuple[ExperimentReport, list[Row
             "e4_poly": rep.e4_poly == _E4_REFERENCE,
             "kappa4_poly": rep.kappa4_poly == _KAPPA4_REFERENCE,
             "e6_poly": rep.e6_poly == _E6_REFERENCE,
-            "rho_star_printed": abs(rep.rho_star_numeric - _RHO_STAR_PRINTED) <= 1e-4,
+            "rho_star_printed": abs(rep.rho_star_numeric - _RHO_STAR_PRINTED)
+            <= _RHO_STAR_PRINTED_TOL,
             "root_agreement": abs(rep.rho_star_numeric - rep.rho_star_closed_form)
-            <= 1e-10,
-            "kappa4_zero_at_root": abs(kappa4_at_root) <= 1e-9,
-            "sixth_moment_gap": rep.sixth_moment_gap > 2.4e6,
+            <= ROOT_AGREEMENT_TOL,
+            "kappa4_zero_at_root": abs(kappa4_at_root) <= KAPPA4_AT_ROOT_TOL,
+            "sixth_moment_gap": rep.sixth_moment_gap > float(_SIXTH_MOMENT_GAP_MIN),
         }
     )
-    s = "counterexample"
-    rows = [
-        Row(s, "e2", exact_value=rep.e2, verdict=report.verdicts["e2_value"]),
-        Row(s, "three_e2_squared", exact_value=three_e2_sq),
-        Row(s, "e4_poly", exact_value=rep.e4_poly, verdict=report.verdicts["e4_poly"]),
-        Row(
-            s,
-            "kappa4_poly",
-            exact_value=rep.kappa4_poly,
-            verdict=report.verdicts["kappa4_poly"],
-        ),
-        Row(s, "e6_poly", exact_value=rep.e6_poly, verdict=report.verdicts["e6_poly"]),
-        Row(
-            s,
-            "rho_star_numeric",
-            estimate=rep.rho_star_numeric,
-            verdict=report.verdicts["rho_star_printed"],
-        ),
-        Row(
-            s,
-            "rho_star_closed_form",
-            estimate=rep.rho_star_closed_form,
-            verdict=report.verdicts["root_agreement"],
-        ),
-        Row(
-            s,
-            "kappa4_at_rho_star",
-            estimate=kappa4_at_root,
-            verdict=report.verdicts["kappa4_zero_at_root"],
-        ),
-        Row(s, "gaussian_sixth", exact_value=rep.gaussian_sixth),
-        Row(
-            s,
-            "e6_at_rho_star",
-            estimate=rep.e6_at_rho_star,
-            verdict=report.verdicts["sixth_moment_gap"],
-        ),
-        Row(s, "sixth_moment_gap", estimate=rep.sixth_moment_gap),
-    ]
-    return report, rows
+    return report, _rows_from_report(report, _COUNTEREXAMPLE_ROWS)
 
 
 def _suite_positivity(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
@@ -322,27 +318,7 @@ def _suite_positivity(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
             "certificate": cert.holds,
         }
     )
-    s = "positivity"
-    rows = [
-        Row(s, "kappa4_poly", exact_value=cert.kappa4_poly),
-        Row(s, "second_moment_poly", exact_value=second, verdict=second_ok),
-        Row(
-            s,
-            "discriminant_poly",
-            exact_value=cert.discriminant_poly,
-            verdict=cert.symbolic_nonpositive,
-        ),
-        Row(s, "radicand_poly", exact_value=cert.radicand_poly),
-        Row(s, "kappa4_at_a0", exact_value=at_a0_value, verdict=at_a0_ok),
-        Row(
-            s,
-            "grid_min",
-            estimate=cert.grid_min,
-            verdict=cert.grid_min > 0,
-        ),
-        Row(s, "certificate", verdict=cert.holds),
-    ]
-    return report, rows
+    return report, _rows_from_report(report, _POSITIVITY_ROWS)
 
 
 def _suite_lemma(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
@@ -481,7 +457,7 @@ def _suite_clt(config: RunConfig) -> tuple[ExperimentReport, list[Row]]:
     report = clt_experiment(
         config.family, config.n_grid, config.samples, config.seed
     )
-    slack = 3.0 * report.parameters["error_band"]
+    slack = report.parameters["band_multiplier"] * report.parameters["error_band"]
     rows: list[Row] = []
     for n in config.n_grid:
         stein = report.exact_values[f"stein_w[n={n}]"]
@@ -680,21 +656,24 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             return value
         return file_values.get(file_key, getattr(defaults, file_key))
 
+    def as_int(value, message: str) -> int:
+        # JSON floats and booleans are rejected, not truncated
+        if not isinstance(value, bool):
+            try:
+                return operator.index(value)
+            except TypeError:
+                pass
+        parser.error(message)
+
     def integer(file_key: str) -> int:
         value = pick(file_key)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            parser.error(f"{file_key} must be an integer, got {value!r}")
+        return as_int(value, f"{file_key} must be an integer, got {value!r}")
 
     n_grid = pick("n_grid")
     bad_grid = f"n_grid must be a list of integers, got {n_grid!r}"
     if not isinstance(n_grid, list):
         parser.error(bad_grid)
-    try:
-        n_grid = [int(n) for n in n_grid]
-    except (TypeError, ValueError):
-        parser.error(bad_grid)
+    n_grid = [as_int(n, bad_grid) for n in n_grid]
     output_path = pick("output_path", "output")
     if output_path is not None and not isinstance(output_path, str):
         parser.error(f"output_path must be a string, got {output_path!r}")

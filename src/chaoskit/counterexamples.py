@@ -39,6 +39,11 @@ __all__ = [
     "h1h5_positivity_certificate",
 ]
 
+# Float tolerances on the root rho*: closed form against the root finder,
+# and the fourth cumulant evaluated there.
+ROOT_AGREEMENT_TOL = 1e-10
+KAPPA4_AT_ROOT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CounterexampleReport:
@@ -54,13 +59,13 @@ class CounterexampleReport:
     gaussian_sixth: Fraction
 
     def __post_init__(self):
-        if abs(self.rho_star_numeric - self.rho_star_closed_form) > 1e-10:
+        if abs(self.rho_star_numeric - self.rho_star_closed_form) > ROOT_AGREEMENT_TOL:
             raise RuntimeError(
                 "closed-form and numeric roots disagree: "
                 f"{self.rho_star_closed_form} vs {self.rho_star_numeric}"
             )
         residual = param_eval(self.kappa4_poly, {"rho": self.rho_star_numeric})
-        if abs(residual) > 1e-9:
+        if abs(residual) > KAPPA4_AT_ROOT_TOL:
             raise RuntimeError(f"fourth cumulant at the root is {residual}, not ~0")
 
     @property

@@ -26,6 +26,7 @@ across runs with the same seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,6 +67,10 @@ __all__ = [
 GENERATOR_ID = "philox4x64/u53-halfstep/inverse-cdf-as241/chunk2^21:v1"
 
 _BATCHES = 20
+# clt_experiment's slack is _BAND_MULTIPLIER error bands; ks_small_at_max
+# asks for a KS statistic below _KS_SMALL at the largest n.
+_BAND_MULTIPLIER = 3
+_KS_SMALL = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -375,64 +380,44 @@ class ScaledChaos:
     element: ChaosElement
     scale_sq: Fraction
 
-    def variance(self) -> Fraction:
-        return self.scale_sq * self.element.variance()
-
     def sample(self, n: int, seed: int) -> SampleSet:
         core = sample_chaos(self.element, n, seed)
         scale = math.sqrt(float(self.scale_sq))
         return SampleSet(values=core.values * scale, seed=core.seed)
 
 
-def _dyadic_block(d: int, offset: int) -> SymTensor:
-    return SymTensor(d, 2, {(offset, offset + 1): Fraction(1, 2)})
-
-
-def _triple_block(d: int, offset: int) -> SymTensor:
-    return SymTensor(d, 3, {(offset, offset + 1, offset + 2): Fraction(1, 6)})
-
-
-def _merge(tensors: Sequence[SymTensor]) -> SymTensor:
-    coeffs = {}
-    for t in tensors:
-        coeffs.update(t.coeffs)
-    return SymTensor(tensors[0].dimension, tensors[0].order, coeffs)
-
-
-def _build_dyadic_p2(n: int) -> tuple[ChaosElement, Fraction]:
-    d = 2 * n
-    full = ChaosElement(d, {2: _merge([_dyadic_block(d, 2 * i) for i in range(n)])})
-    return full, Fraction(1, n)
-
-
-def _build_mixed_p2_q3(n: int) -> tuple[ChaosElement, Fraction]:
-    d = 5 * n
-    pairs = _merge([_dyadic_block(d, 5 * i) for i in range(n)])
-    triples = _merge([_triple_block(d, 5 * i + 2) for i in range(n)])
-    full = ChaosElement(d, {2: pairs, 3: triples})
-    return full, Fraction(1, 2 * n)
-
-
-def _build_independent_blocks_m3(n: int) -> tuple[ChaosElement, Fraction]:
-    d = 6 * n
-    singles = _merge(
-        [SymTensor(d, 1, {(6 * i,): Fraction(1)}) for i in range(n)]
-    )
-    pairs = _merge([_dyadic_block(d, 6 * i + 1) for i in range(n)])
-    triples = _merge([_triple_block(d, 6 * i + 3) for i in range(n)])
-    full = ChaosElement(d, {1: singles, 2: pairs, 3: triples})
-    return full, Fraction(1, 3 * n)
-
-
+# Each family repeats one block of ``stride`` coordinates n times.  A block
+# is a list of (order, first coordinate, value): the kernel of that order
+# takes ``value`` on the sorted index (first, ..., first + order - 1) of
+# every block.  The element is scaled by 1 / (n * number of kernels).
 _FAMILIES = {
-    "dyadic_p2": _build_dyadic_p2,
-    "mixed_p2_q3": _build_mixed_p2_q3,
-    "independent_blocks_M3": _build_independent_blocks_m3,
+    "dyadic_p2": (2, ((2, 0, Fraction(1, 2)),)),
+    "mixed_p2_q3": (5, ((2, 0, Fraction(1, 2)), (3, 2, Fraction(1, 6)))),
+    "independent_blocks_M3": (
+        6,
+        ((1, 0, Fraction(1)), (2, 1, Fraction(1, 2)), (3, 3, Fraction(1, 6))),
+    ),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
-_BLOCK_STATS_CACHE: dict[str, tuple[Fraction, Fraction, Fraction]] = {}
+
+def _family_element(family: str, n: int) -> tuple[ChaosElement, Fraction]:
+    """The family's n-block element and its scale square."""
+    stride, block = _FAMILIES[family]
+    d = stride * n
+    kernels = {}
+    for order, first, value in block:
+        index = {tuple(range(b, b + order)): value for b in range(first, d, stride)}
+        kernels[order] = SymTensor(d, order, index)
+    return ChaosElement(d, kernels), Fraction(1, len(block) * n)
+
+
+@functools.cache
+def _block_stats(family: str) -> tuple[Fraction, Fraction, Fraction]:
+    """Variance, fourth cumulant and Var(Gamma) of the family's one-block element."""
+    block, _ = _family_element(family, 1)
+    return block.variance(), kappa4_exact(block), gamma_variance(block)
 
 
 @dataclass(frozen=True)
@@ -482,15 +467,8 @@ def family_point(family: str, n: int) -> FamilyPoint:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
     if n < 1:
         raise ValueError("n must be positive")
-    full, scale_sq = _FAMILIES[family](n)
-    if family not in _BLOCK_STATS_CACHE:
-        block, _ = _FAMILIES[family](1)
-        _BLOCK_STATS_CACHE[family] = (
-            block.variance(),
-            kappa4_exact(block),
-            gamma_variance(block),
-        )
-    var_b, k4_b, gv_b = _BLOCK_STATS_CACHE[family]
+    full, scale_sq = _family_element(family, n)
+    var_b, k4_b, gv_b = _block_stats(family)
     return FamilyPoint(
         family=family,
         n=n,
@@ -557,7 +535,7 @@ def clt_experiment(
         raise ValueError("need at least 100 samples per point")
 
     band = math.log(m) / math.sqrt(m)
-    slack = 3.0 * band
+    slack = _BAND_MULTIPLIER * band
     report = ExperimentReport(name=f"clt:{family}")
     report.parameters.update(
         {
@@ -568,13 +546,13 @@ def clt_experiment(
             "generator_id": GENERATOR_ID,
             "error_band": band,
             "band_formula": "log(m)/sqrt(m)",
-            "band_multiplier": 3,
+            "band_multiplier": _BAND_MULTIPLIER,
             "tolerance.w1_within_bound": "stein_w + 3*log(m)/sqrt(m)",
             "tolerance.w1_trend": "previous_w1 + 3*log(m)/sqrt(m)",
             "tolerance.kappa4_decreasing": "exact, strict",
             "tolerance.contraction_decreasing": "exact, strict",
             "tolerance.ks_decreasing": "strict decrease of the point estimates",
-            "tolerance.ks_small_at_max": "0.02",
+            "tolerance.ks_small_at_max": str(_KS_SMALL),
         }
     )
 
@@ -623,5 +601,5 @@ def clt_experiment(
         report.verdicts["ks_decreasing"] = all(
             b < a for a, b in zip(kss, kss[1:])
         )
-        report.verdicts["ks_small_at_max"] = bool(kss[-1] < 0.02)
+        report.verdicts["ks_small_at_max"] = bool(kss[-1] < _KS_SMALL)
     return report

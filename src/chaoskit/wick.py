@@ -12,6 +12,7 @@ separate so they can check each other:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -137,14 +138,15 @@ class CovSpec:
         ]
 
     def cholesky_factor(
-        self, assignment: Mapping[str, float] | None = None, tol: float = 1e-10
+        self, assignment: Mapping[str, float] | None = None
     ) -> list[list[float]]:
         """Pivoted Cholesky factor F with sigma = F F^T.
 
-        Raises ValueError when the evaluated matrix has a pivot below -tol,
+        Raises ValueError when the evaluated matrix has a pivot below -1e-10,
         i.e. is not positive semidefinite at this evaluation point.
         """
         d = self.dimension
+        tol = 1e-10  # a pivot at or below tol ends the factorization
         m = [row[:] for row in self.numeric_matrix(assignment)]
         lower = [[0.0] * d for _ in range(d)]
         perm = list(range(d))
@@ -228,7 +230,7 @@ def gaussian_moment(multidegree: Sequence[int], cov: CovSpec) -> ParamPoly:
     under the identity, a product of 1-D moments.  Zero whenever the total
     degree is odd.
     """
-    md = tuple(int(e) for e in multidegree)
+    md = tuple(map(operator.index, multidegree))
     if len(md) != cov.dimension:
         raise ValueError(
             f"multidegree length {len(md)} does not match dimension {cov.dimension}"
@@ -302,7 +304,7 @@ class GaussianPolynomial:
     ):
         sparse: dict[Monomial, ParamPoly] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(map(int, exps))
+            exps = tuple(map(operator.index, exps))
             if len(exps) != cov.dimension:
                 raise ValueError(
                     f"exponent tuple {exps!r} does not match dimension {cov.dimension}"

@@ -362,6 +362,13 @@ def test_config_file_must_be_object(tmp_path):
         ({"seed": None}, "seed must be an integer"),
         ({"output_path": 5}, "output_path must be a string"),
         ({"n_grid": [0, 4]}, "n-grid entries must be positive"),
+        ({"pairs": 2.9}, "pairs must be an integer"),
+        ({"seed": 7.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"samples": 1000.0}, "samples must be an integer"),
+        ({"grid_points": False}, "grid_points must be an integer"),
+        ({"n_grid": [4, 16.0]}, "n_grid must be a list of integers"),
+        ({"n_grid": [True, 4]}, "n_grid must be a list of integers"),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, values, message):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chaoskit import wick
 from chaoskit.algebra import ParamPoly, double_factorial, param_eval
-from chaoskit.chaos import SymTensor, multiple_integral
+from chaoskit.chaos import SymTensor, Tensor, multiple_integral
 from chaoskit.wick import (
     CovSpec,
     DegreeCapError,
@@ -315,3 +315,19 @@ def test_moments_of_h5():
     m4 = expectation_of_product(h5 * h5, h5 * h5).constant_value()
     assert m4 == 67003200
     assert cumulant(h5, 4).constant_value() == 67003200 - 3 * 120**2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gaussian_moment((1.9, 0.5), CovSpec.bivariate()),
+        lambda: SymTensor(3, 2, {(0.9, 2.2): 1}),
+        lambda: Tensor(3, 2, {(0, 1.5): 1}),
+        lambda: ParamPoly(("rho",), {(2.5,): 1}),
+        lambda: GaussianPolynomial(CovSpec.bivariate(), {(1.0, 2): 1}),
+    ],
+    ids=["gaussian_moment", "SymTensor", "Tensor", "ParamPoly", "GaussianPolynomial"],
+)
+def test_non_integer_indices_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
