@@ -23,13 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .algebra import ParamPoly, _as_fraction, hermite
-from .wick import (
-    CovSpec,
-    GaussianPolynomial,
-    Monomial,
-    expectation,
-    expectation_of_product,
-)
+from .wick import CovSpec, GaussianPolynomial, Monomial
 
 __all__ = [
     "SymTensor",
@@ -500,13 +494,15 @@ def _product_sum(
 
     The one product-formula sum: returns the components of order >= 1 as a
     chaos element and the r = p = q terms as one order-0 constant.  With
-    ``by_r`` the r = 0 terms vanish and are skipped.
+    ``by_r`` the r = 0 terms vanish, and the r = p = q terms, which no
+    caller reads, are skipped too: the constant returned is then 0.
     """
     components: dict[int, SymTensor] = {}
     constant = Fraction(0)
     for u, v, w in pairs:
         p, q = u.order, v.order
-        for r in range(1 if by_r else 0, min(p, q) + 1):
+        top = min(p, q) - (by_r and p == q)
+        for r in range(1 if by_r else 0, top + 1):
             coef = w * math.factorial(r) * math.comb(p, r) * math.comb(q, r)
             if by_r:
                 coef *= r
@@ -521,7 +517,8 @@ def _product_sum(
 
 
 def _square(X: ChaosElement, by_r: bool = False) -> tuple[ChaosElement, Fraction]:
-    """X^2, or gamma(X) when ``by_r``, by the product formula.
+    """X^2, or gamma(X) minus its order-0 part Var X when ``by_r``, by the
+    product formula.
 
     X^2 sums I_p(u_p) I_q(u_q) over ordered component pairs; gamma(X) =
     sum_{p,q} q^{-1} <D I_p(u_p), D I_q(u_q)> weights each (p, q, r) product
@@ -650,37 +647,34 @@ class Kappa4Decomposition:
 def kappa4_decomposition(Y: SymTensor, Z: SymTensor) -> Kappa4Decomposition:
     """Split kappa4(I_p(Y) + I_q(Z)) for kernels of different order parity.
 
-    Returns the exact pieces and verifies, as hard invariants, that the odd
-    cross moments vanish, that Cov(Y^2, Z^2) >= 0, and that
-    k4x = k4y + k4z + 6 Cov(Y^2, Z^2).
+    By the product formula y^2 = cy + I(sy), z^2 = cz + I(sz), yz = I(yz):
+    k4y = Var sy - 2 cy^2, cov_sq = sum_k k! <sy_k, sz_k> and, as
+    X^2 = y^2 + 2 yz + z^2, k4x = Var(sy + sz) + 4 Var yz - 2 (cy + cz)^2.
+    Hard invariants: the odd cross moments E[y^3 z] = sum_k k! <sy_k, yz_k>
+    and E[y z^3] vanish (yz has no constant and no order of sy or sz),
+    Cov(Y^2, Z^2) >= 0, and k4x = k4y + k4z + 6 cov_sq, which holds iff
+    E[(yz)^2] = E[y^2 z^2]: the yz contractions against the yy and zz ones.
     """
     if (Y.order - Z.order) % 2 == 0:
         raise ValueError("kernels must have orders of different parity")
     if Y.dimension != Z.dimension:
         raise ValueError("kernels must share a dimension")
-    y = multiple_integral(Y)
-    z = multiple_integral(Z)
-    y2, z2 = y * y, z * z
-    ey2 = expectation(y2).constant_value()
-    ez2 = expectation(z2).constant_value()
-    ey4 = expectation_of_product(y2, y2).constant_value()
-    ez4 = expectation_of_product(z2, z2).constant_value()
-    ey2z2 = expectation_of_product(y2, z2).constant_value()
-    yz = y * z
-    ey3z = expectation_of_product(y2, yz).constant_value()
-    eyz3 = expectation_of_product(yz, z2).constant_value()
-    if ey3z or eyz3:
+    d = Y.dimension
+    sy, cy = _square(ChaosElement(d, {Y.order: Y}))
+    sz, cz = _square(ChaosElement(d, {Z.order: Z}))
+    yz, c_yz = _product_sum([(Y, Z, 1)], d)
+    if c_yz or yz.components.keys() & (sy.components.keys() | sz.components.keys()):
         raise RuntimeError("odd cross moments failed to vanish; engine inconsistency")
-    k4y = ey4 - 3 * ey2 * ey2
-    k4z = ez4 - 3 * ez2 * ez2
-    cov_sq = ey2z2 - ey2 * ez2
+    k4y = sy.variance() - 2 * cy * cy
+    k4z = sz.variance() - 2 * cz * cz
+    shared = sy.components.keys() & sz.components.keys()
+    cov_sq = sum(
+        (math.factorial(k) * sy.components[k].inner(sz.components[k]) for k in shared),
+        Fraction(0),
+    )
     if cov_sq < 0:
         raise RuntimeError("Cov(Y^2, Z^2) negative; engine inconsistency")
-    x = y + z
-    x2 = x * x
-    ex2 = expectation(x2).constant_value()
-    ex4 = expectation_of_product(x2, x2).constant_value()
-    k4x = ex4 - 3 * ex2 * ex2
+    k4x = (sy + sz).variance() + 4 * yz.variance() - 2 * (cy + cz) ** 2
     if k4x != k4y + k4z + 6 * cov_sq:
         raise RuntimeError("fourth-cumulant split failed; engine inconsistency")
     return Kappa4Decomposition(k4x=k4x, k4y=k4y, k4z=k4z, cov_sq=cov_sq)

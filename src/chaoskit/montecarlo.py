@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -527,10 +528,10 @@ def clt_experiment(
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [operator.index(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be nonempty and strictly increasing")
-    m = int(samples_per_point)
+    m = operator.index(samples_per_point)
     if m < 100:
         raise ValueError("need at least 100 samples per point")
 

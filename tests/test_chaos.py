@@ -16,6 +16,7 @@ from chaoskit.algebra import ParamPoly
 from chaoskit.chaos import (
     ChaosElement,
     HVector,
+    Kappa4Decomposition,
     SymTensor,
     Tensor,
     contract,
@@ -548,6 +549,42 @@ def test_kappa4_matches_the_split_on_mixed_parity_pairs():
     for (y, z), split in zip(suite["pairs"], suite["decompositions"]):
         x = ChaosElement(y.dimension, {y.order: y, z.order: z})
         assert kappa4_exact(x) == split.k4x
+
+
+def polynomial_kappa4_decomposition(Y: SymTensor, Z: SymTensor) -> Kappa4Decomposition:
+    """The kappa4 split from Wick moments of the polynomials y^2, z^2, yz and X^2."""
+    y = multiple_integral(Y)
+    z = multiple_integral(Z)
+    y2, z2 = y * y, z * z
+    ey2 = expectation(y2).constant_value()
+    ez2 = expectation(z2).constant_value()
+    ey4 = expectation_of_product(y2, y2).constant_value()
+    ez4 = expectation_of_product(z2, z2).constant_value()
+    ey2z2 = expectation_of_product(y2, z2).constant_value()
+    yz = y * z
+    assert expectation_of_product(y2, yz).constant_value() == 0
+    assert expectation_of_product(yz, z2).constant_value() == 0
+    x = y + z
+    x2 = x * x
+    ex2 = expectation(x2).constant_value()
+    ex4 = expectation_of_product(x2, x2).constant_value()
+    return Kappa4Decomposition(
+        k4x=ex4 - 3 * ex2 * ex2,
+        k4y=ey4 - 3 * ey2 * ey2,
+        k4z=ez4 - 3 * ez2 * ez2,
+        cov_sq=ey2z2 - ey2 * ez2,
+    )
+
+
+def test_kappa4_decomposition_matches_polynomial_oracle():
+    pairs = list(mixed_parity_pairs()["pairs"])
+    rng = random.Random(90909)
+    for d, p, q in itertools.product((2, 3, 4), range(1, 5), range(1, 6)):
+        if (p + q) % 2 and p + q >= 5:
+            pairs.append((_random_sym_tensor(rng, d, p), _random_sym_tensor(rng, d, q)))
+    assert len(pairs) == 50 + 3 * 8
+    for y, z in pairs:
+        assert kappa4_decomposition(y, z) == polynomial_kappa4_decomposition(y, z)
 
 
 def test_kappa4_decomposition_disjoint_pair():

@@ -520,6 +520,8 @@ def test_clt_experiment_validates_input():
         clt_experiment("dyadic_p2", [4, 16], 50, seed=1)
     with pytest.raises(ValueError):
         clt_experiment("unknown", [4, 16], 1000, seed=1)
+    with pytest.raises(TypeError):
+        clt_experiment("dyadic_p2", [4.7], 100.9, 1)
 
 
 def test_clt_experiment_w1_bound_holds_at_moderate_size():
