@@ -1,4 +1,4 @@
-"""Exact rational algebra: parameter polynomials, Hermite basis, root isolation.
+"""Exact rational algebra: sparse polynomial ring, Hermite basis, root isolation.
 
 Everything on the exact path is computed with arbitrary-precision rationals
 (:class:`fractions.Fraction`).  Floats appear only at the named evaluation
@@ -12,9 +12,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
+    "Monomial",
+    "SparsePoly",
     "ParamPoly",
     "HermitePoly",
     "RootFindError",
@@ -49,16 +51,118 @@ def double_factorial(n: int) -> int:
     return result
 
 
-class ParamPoly:
-    """Polynomial in named parameters with exact rational coefficients.
+# Sparse monomial key: sorted (variable, exponent >= 1) pairs; () is the constant.
+Monomial = tuple[tuple[Hashable, int], ...]
 
-    Canonical form: variable names are sorted, unused variables are pruned,
-    zero coefficients are never stored, and each term key is one exponent
-    tuple aligned with ``variables``.  Instances are immutable by convention;
-    all arithmetic is exact.
+
+def _merge(a: Monomial, b: Monomial) -> Monomial:
+    """Sparse key of the product of the monomials with keys a and b."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for v, e in b:
+        out[v] = out.get(v, 0) + e
+    return tuple(sorted(out.items()))
+
+
+class SparsePoly:
+    """Polynomial ring on sparse monomial keys.
+
+    ``terms`` maps a :data:`Monomial` key to a nonzero coefficient; a
+    coefficient is zero exactly when it is falsy.  Subclasses supply
+    ``_like`` (a result of their own kind from terms that may hold zeros)
+    and ``_coerce`` (an operand as their own kind, raising ``TypeError`` for
+    a foreign type).  Instances are immutable by convention.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms",)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def degree(self) -> int:
+        """Total degree (0 for constants, including the zero polynomial)."""
+        return max((sum(e for _, e in key) for key in self.terms), default=0)
+
+    def __add__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            existing = out.get(key)
+            out[key] = c if existing is None else existing + c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        out = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = _merge(ka, kb)
+                prod = ca * cb
+                existing = out.get(key)
+                out[key] = prod if existing is None else existing + prod
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self._coerce(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def derivative(self, variable):
+        """Partial derivative in ``variable``, treating it as a plain variable."""
+        out = {}
+        for key, c in self.terms.items():
+            for pos, (v, e) in enumerate(key):
+                if v == variable:
+                    lowered = ((v, e - 1),) if e > 1 else ()
+                    reduced = key[:pos] + lowered + key[pos + 1 :]
+                    scaled = c * e
+                    existing = out.get(reduced)
+                    out[reduced] = scaled if existing is None else existing + scaled
+        return self._like(out)
+
+
+class ParamPoly(SparsePoly):
+    """Polynomial in named parameters with exact rational coefficients.
+
+    Term keys are sparse monomial keys over parameter names, so equal
+    polynomials have equal ``terms`` whatever the construction route.  The
+    constructor takes dense exponent tuples aligned with ``variables``.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -68,43 +172,41 @@ class ParamPoly:
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names!r}")
-        order = sorted(range(len(names)), key=names.__getitem__)
-        sorted_names = tuple(names[i] for i in order)
-
-        accumulated: dict[tuple[int, ...], Fraction] = {}
+        accumulated: dict[Monomial, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(map(operator.index, exps))
             if len(exps) != len(names):
                 raise ValueError(f"exponent tuple {exps!r} does not match {names!r}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps!r}")
-            key = tuple(exps[i] for i in order)
+            key = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
             value = _as_fraction(coeff)
             if value:
                 accumulated[key] = accumulated.get(key, Fraction(0)) + value
-        cleaned = {e: c for e, c in accumulated.items() if c}
+        self.terms = {k: c for k, c in accumulated.items() if c}
 
-        # Prune variables that no surviving term uses, so that equal
-        # polynomials compare equal regardless of construction route.
-        used = [any(e[i] for e in cleaned) for i in range(len(sorted_names))]
-        if not all(used):
-            keep = [i for i, u in enumerate(used) if u]
-            sorted_names = tuple(sorted_names[i] for i in keep)
-            cleaned = {tuple(e[i] for i in keep): c for e, c in cleaned.items()}
+    @staticmethod
+    def _like(terms: Mapping[Monomial, Fraction]) -> "ParamPoly":
+        result = ParamPoly.__new__(ParamPoly)
+        result.terms = {k: c for k, c in terms.items() if c}
+        return result
 
-        self.variables = sorted_names
-        self.terms = cleaned
+    @staticmethod
+    def _coerce(value) -> "ParamPoly":
+        if isinstance(value, ParamPoly):
+            return value
+        return ParamPoly.constant(value)
+
+    # perfbench/spans.py wraps these entries through the class's own
+    # __dict__, so they must live here and not only on SparsePoly.
+    __add__ = __radd__ = SparsePoly.__add__
+    __mul__ = __rmul__ = SparsePoly.__mul__
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def constant(cls, value: ExactScalar) -> "ParamPoly":
-        value = _as_fraction(value)
-        # already canonical, so the general constructor's checks are skipped
-        result = cls.__new__(cls)
-        result.variables = ()
-        result.terms = {(): value} if value else {}
-        return result
+        return cls._like({(): _as_fraction(value)})
 
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":
@@ -113,197 +215,87 @@ class ParamPoly:
     # -- inspection -------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def variables(self) -> tuple[str, ...]:
+        """Sorted names of the parameters that some term uses."""
+        return tuple(sorted({v for key in self.terms for v, _ in key}))
 
     @property
     def is_constant(self) -> bool:
-        return not self.variables
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
-        if self.variables:
+        if not self.is_constant:
             raise ValueError(f"polynomial {self} is not constant")
         return self.terms.get((), Fraction(0))
 
-    def degree(self) -> int:
-        """Total degree (0 for constants, including the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
-
     def coefficient(self, **powers: int) -> Fraction:
         """Coefficient of the monomial with the given named exponents."""
-        exps = tuple(powers.get(v, 0) for v in self.variables)
-        extra = set(powers) - set(self.variables)
-        if any(powers[name] for name in extra):
-            return Fraction(0)
-        return self.terms.get(exps, Fraction(0))
-
-    # -- alignment helper -------------------------------------------------
-
-    def _aligned(self, other: "ParamPoly"):
-        if self.variables == other.variables:
-            return self.variables, self.terms, other.terms
-        merged = tuple(sorted(set(self.variables) | set(other.variables)))
-
-        def remap(poly: "ParamPoly") -> dict[tuple[int, ...], Fraction]:
-            pos = [merged.index(v) for v in poly.variables]
-            out = {}
-            for exps, c in poly.terms.items():
-                key = [0] * len(merged)
-                for p, e in zip(pos, exps):
-                    key[p] = e
-                out[tuple(key)] = c
-            return out
-
-        return merged, remap(self), remap(other)
-
-    @staticmethod
-    def _coerce(value) -> "ParamPoly":
-        if isinstance(value, ParamPoly):
-            return value
-        return ParamPoly.constant(value)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other) -> "ParamPoly":
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        names, a, b = self._aligned(other)
-        out = dict(a)
-        for exps, c in b.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return ParamPoly(names, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamPoly":
-        result = ParamPoly.__new__(ParamPoly)
-        result.variables = self.variables
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other) -> "ParamPoly":
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "ParamPoly":
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return ParamPoly()
-        # Constant fast paths keep the heavily used scalar case cheap.
-        if not self.variables:
-            k = self.terms[()]
-            result = ParamPoly.__new__(ParamPoly)
-            result.variables = other.variables
-            result.terms = {e: c * k for e, c in other.terms.items()}
-            return result
-        if not other.variables:
-            return other * self
-        names, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                if key in out:
-                    out[key] += prod
-                else:
-                    out[key] = prod
-        return ParamPoly(names, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ParamPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ParamPoly.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        key = tuple(sorted((v, e) for v, e in powers.items() if e))
+        return self.terms.get(key, Fraction(0))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return not self.variables and self.constant_value() == other
+            return self.is_constant and self.constant_value() == other
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.terms == other.terms
 
     __hash__ = None  # mutable-looking container; not intended as a dict key
 
     # -- calculus / evaluation ---------------------------------------------
-
-    def derivative(self, name: str) -> "ParamPoly":
-        if name not in self.variables:
-            return ParamPoly()
-        i = self.variables.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * exps[i]
-        return ParamPoly(self.variables, out)
 
     def substitute(self, name: str, value: ExactScalar) -> "ParamPoly":
         """Exactly substitute one parameter by a rational value."""
         if name not in self.variables:
             return self
         value = _as_fraction(value)
-        i = self.variables.index(name)
-        names = self.variables[:i] + self.variables[i + 1 :]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            key = exps[:i] + exps[i + 1 :]
-            scaled = c * value ** exps[i]
-            out[key] = out.get(key, Fraction(0)) + scaled
-        return ParamPoly(names, out)
+        out: dict[Monomial, Fraction] = {}
+        for key, c in self.terms.items():
+            e = dict(key).get(name, 0)
+            reduced = tuple(pair for pair in key if pair[0] != name)
+            out[reduced] = out.get(reduced, Fraction(0)) + c * value**e
+        return self._like(out)
 
     def evaluate(self, assignment: Mapping[str, ExactScalar]) -> Fraction:
         """Exact evaluation; every variable must be assigned a rational."""
-        missing = [v for v in self.variables if v not in assignment]
+        variables = self.variables
+        missing = [v for v in variables if v not in assignment]
         if missing:
             raise ValueError(f"missing parameter values for {missing}")
-        values = [_as_fraction(assignment[v]) for v in self.variables]
+        values = {v: _as_fraction(assignment[v]) for v in variables}
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             term = c
-            for v, e in zip(values, exps):
-                if e:
-                    term *= v**e
+            for v, e in key:
+                term *= values[v] ** e
             total += term
         return total
 
     def evaluate_float(self, assignment: Mapping[str, float]) -> float:
         """Floating evaluation via nested Horner recursion over variables."""
-        missing = [v for v in self.variables if v not in assignment]
+        variables = self.variables
+        missing = [v for v in variables if v not in assignment]
         if missing:
             raise ValueError(f"missing parameter values for {missing}")
-        items = [(exps, float(c)) for exps, c in self.terms.items()]
-        return _horner(self.variables, items, assignment)
+        items = [(key, float(c)) for key, c in self.terms.items()]
+        return _horner(variables, items, assignment)
 
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        variables = self.variables
+
+        def order(key: Monomial):
+            powers = dict(key)
+            dense = tuple(powers.get(v, 0) for v in variables)
+            return sum(dense), dense
+
         bits = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exps]
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+        for key in sorted(self.terms, key=order):
+            c = self.terms[key]
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in key]
             if not factors:
                 bits.append(str(c))
             elif c == 1:
@@ -317,13 +309,18 @@ class ParamPoly:
 
 
 def _horner(variables, items, assignment) -> float:
+    """Horner in variables[0] over groups of equal exponent, recursing on the
+    rest; each key's pairs are sorted, so variables[0] can only lead a key."""
     if not variables:
         return math.fsum(c for _, c in items) if items else 0.0
-    x = float(assignment[variables[0]])
-    rest = variables[1:]
+    name, rest = variables[0], variables[1:]
+    x = float(assignment[name])
     groups: dict[int, list] = {}
-    for exps, c in items:
-        groups.setdefault(exps[0], []).append((exps[1:], c))
+    for key, c in items:
+        if key and key[0][0] == name:
+            groups.setdefault(key[0][1], []).append((key[1:], c))
+        else:
+            groups.setdefault(0, []).append((key, c))
     acc = 0.0
     for e in range(max(groups), -1, -1):
         acc = acc * x

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import ParamPoly, _as_fraction, hermite
-from .wick import CovSpec, GaussianPolynomial, Monomial
+from .algebra import Monomial, ParamPoly, _as_fraction, hermite
+from .wick import CovSpec, GaussianPolynomial
 
 __all__ = [
     "SymTensor",

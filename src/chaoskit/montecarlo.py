@@ -259,13 +259,10 @@ def sample_gaussian_polynomial(
     factor = None if identity else np.asarray(f.cov.cholesky_factor(assignment))
 
     assignment = dict(assignment or {})
-    terms = []
-    for key in sorted(f.terms, key=_dense_order):
-        coef = f.terms[key]
-        value = coef.evaluate_float(assignment) if coef.variables else float(
-            coef.constant_value()
-        )
-        terms.append((key, value))
+    terms = [
+        (key, f.terms[key].evaluate_float(assignment))
+        for key in sorted(f.terms, key=_dense_order)
+    ]
 
     out = np.empty(n, dtype=np.float64)
     rows = _chunk_rows(d)

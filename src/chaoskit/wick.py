@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import ParamPoly, double_factorial
+from .algebra import Monomial, ParamPoly, SparsePoly, _merge, double_factorial
 
 __all__ = [
     "DEGREE_CAP",
@@ -34,10 +34,6 @@ __all__ = [
 # shipped constructions need (degree 18 polynomials taken to the 2nd power),
 # but a hard stop against accidental combinatorial blow-ups.
 DEGREE_CAP = 40
-
-
-# Sparse monomial key: sorted (coordinate, exponent >= 1) pairs; () is the constant.
-Monomial = tuple[tuple[int, int], ...]
 
 
 class DegreeCapError(ValueError):
@@ -272,30 +268,18 @@ def gaussian_moment_bivariate_conditional(n: int, m: int) -> ParamPoly:
 # ---------------------------------------------------------------------------
 
 
-def _merge(a: Monomial, b: Monomial) -> Monomial:
-    """Sparse key of the product of the monomials with keys a and b."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for i, e in b:
-        out[i] = out.get(i, 0) + e
-    return tuple(sorted(out.items()))
-
-
-class GaussianPolynomial:
+class GaussianPolynomial(SparsePoly):
     """Polynomial of the coordinates of a Gaussian vector.
 
-    ``terms`` maps a sparse monomial key, the sorted ``((i, e), ...)`` pairs
-    of each coordinate i with its exponent e >= 1 (``()`` for the constant),
-    to an exact ParamPoly coefficient, so the same object covers both plain
-    rational functionals and families swept by symbolic parameters.  The
-    constructor takes dense exponent tuples (length = dimension); operations
-    build their results from sparse keys directly.
+    ``terms`` maps a sparse monomial key over coordinate indices (the
+    :data:`~chaoskit.algebra.Monomial` format ParamPoly uses over parameter
+    names) to an exact ParamPoly coefficient, so the same object covers both
+    plain rational functionals and families swept by symbolic parameters.
+    The constructor takes dense exponent tuples (length = dimension);
+    operations build their results from sparse keys directly.
     """
 
-    __slots__ = ("cov", "terms")
+    __slots__ = ("cov",)
 
     def __init__(
         self,
@@ -316,15 +300,31 @@ class GaussianPolynomial:
             existing = sparse.get(key)
             sparse[key] = coeff if existing is None else existing + coeff
         self.cov = cov
-        self.terms = {k: c for k, c in sparse.items() if not c.is_zero}
+        self.terms = {k: c for k, c in sparse.items() if c}
 
     @classmethod
     def _of(cls, cov: CovSpec, terms: Mapping[Monomial, ParamPoly]):
         """From sparse keys that the package built (not validated); drops zeros."""
         poly = cls.__new__(cls)
         poly.cov = cov
-        poly.terms = {k: c for k, c in terms.items() if not c.is_zero}
+        poly.terms = {k: c for k, c in terms.items() if c}
         return poly
+
+    def _like(self, terms: Mapping[Monomial, ParamPoly]) -> "GaussianPolynomial":
+        return GaussianPolynomial._of(self.cov, terms)
+
+    def _coerce(self, value) -> "GaussianPolynomial":
+        if isinstance(value, GaussianPolynomial):
+            if value.cov is not self.cov and value.cov != self.cov:
+                raise ValueError("operands live over different covariances")
+            return value
+        return GaussianPolynomial.constant(self.cov, value)
+
+    # perfbench/spans.py wraps these entries through the class's own
+    # __dict__, so they must live here and not only on SparsePoly.
+    __mul__ = __rmul__ = SparsePoly.__mul__
+
+    partial_derivative = SparsePoly.derivative
 
     @classmethod
     def constant(cls, cov: CovSpec, value) -> "GaussianPolynomial":
@@ -332,67 +332,15 @@ class GaussianPolynomial:
 
     @classmethod
     def coordinate(cls, cov: CovSpec, index: int, power: int = 1) -> "GaussianPolynomial":
+        index, power = operator.index(index), operator.index(power)
+        if not 0 <= index < cov.dimension or power < 0:
+            raise ValueError(
+                f"coordinate {index} to power {power} is outside dimension "
+                f"{cov.dimension} or negative"
+            )
         exps = [0] * cov.dimension
         exps[index] = power
         return cls(cov, {tuple(exps): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in key) for key in self.terms), default=0)
-
-    def _require_same_cov(self, other: "GaussianPolynomial"):
-        if self.cov is not other.cov and self.cov != other.cov:
-            raise ValueError("operands live over different covariances")
-
-    def __add__(self, other) -> "GaussianPolynomial":
-        if not isinstance(other, GaussianPolynomial):
-            return self + GaussianPolynomial.constant(self.cov, other)
-        self._require_same_cov(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            existing = out.get(key)
-            out[key] = c if existing is None else existing + c
-        return GaussianPolynomial._of(self.cov, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianPolynomial":
-        return GaussianPolynomial._of(self.cov, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "GaussianPolynomial":
-        if not isinstance(other, GaussianPolynomial):
-            other = GaussianPolynomial.constant(self.cov, other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "GaussianPolynomial":
-        if not isinstance(other, GaussianPolynomial):
-            # scalar (int / Fraction / ParamPoly) scaling
-            scale = ParamPoly._coerce(other)
-            return GaussianPolynomial._of(
-                self.cov, {k: c * scale for k, c in self.terms.items()}
-            )
-        self._require_same_cov(other)
-        out: dict[Monomial, ParamPoly] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _merge(ka, kb)
-                prod = ca * cb
-                existing = out.get(key)
-                out[key] = prod if existing is None else existing + prod
-        return GaussianPolynomial._of(self.cov, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "GaussianPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = GaussianPolynomial.constant(self.cov, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianPolynomial):
@@ -400,19 +348,6 @@ class GaussianPolynomial:
         return self.cov == other.cov and self.terms == other.terms
 
     __hash__ = None
-
-    def partial_derivative(self, index: int) -> "GaussianPolynomial":
-        """d/dx_index, treating the coordinates as plain variables."""
-        out: dict[Monomial, ParamPoly] = {}
-        for key, c in self.terms.items():
-            for pos, (i, e) in enumerate(key):
-                if i == index:
-                    lowered = ((i, e - 1),) if e > 1 else ()
-                    reduced = key[:pos] + lowered + key[pos + 1 :]
-                    scaled = c * e
-                    existing = out.get(reduced)
-                    out[reduced] = scaled if existing is None else existing + scaled
-        return GaussianPolynomial._of(self.cov, out)
 
     def __repr__(self) -> str:
         return f"GaussianPolynomial({len(self.terms)} terms, d={self.cov.dimension})"
@@ -441,11 +376,10 @@ def expectation_of_product(f: GaussianPolynomial, g: GaussianPolynomial) -> Para
     coordinates, total parity otherwise); only matching buckets can produce
     a non-vanishing moment.
     """
-    f._require_same_cov(g)
-    if f.total_degree() + g.total_degree() > DEGREE_CAP:
+    f._coerce(g)  # raises ValueError over a different covariance
+    if f.degree() + g.degree() > DEGREE_CAP:
         raise DegreeCapError(
-            f"product degree {f.total_degree() + g.total_degree()} exceeds cap "
-            f"{DEGREE_CAP}"
+            f"product degree {f.degree() + g.degree()} exceeds cap {DEGREE_CAP}"
         )
     identity = f.cov.is_identity
     left = _parity_classes(f, identity)
@@ -470,7 +404,7 @@ def cumulant(f: GaussianPolynomial, order: int) -> ParamPoly:
     """
     if not isinstance(order, int) or not 1 <= order <= 6:
         raise ValueError(f"cumulant order must be in 1..6, got {order!r}")
-    degree = f.total_degree()
+    degree = f.degree()
     if order * max(degree, 1) > DEGREE_CAP:
         raise DegreeCapError(
             f"order {order} of a degree-{degree} functional exceeds cap {DEGREE_CAP}"

@@ -1,5 +1,7 @@
 """Exact polynomial layer: rationals, multivariate polynomials, Hermite basis."""
 
+import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -128,14 +130,18 @@ def test_hermite_expand_round_trip(coeffs):
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
+# Dense exponent tuples (e_a, e_rho) mapped to coefficients.
+dense_terms = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
+    ),
+    small_fractions,
+    max_size=4,
+)
+
 
 def poly_strategy(variables=("a", "rho")):
-    monomial = st.tuples(
-        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
-    )
-    return st.dictionaries(monomial, small_fractions, max_size=4).map(
-        lambda terms: ParamPoly(variables, terms)
-    )
+    return dense_terms.map(lambda terms: ParamPoly(variables, terms))
 
 
 @given(poly_strategy(), poly_strategy(), poly_strategy())
@@ -206,6 +212,64 @@ def test_param_eval_requires_all_variables():
     a = ParamPoly.variable("a")
     with pytest.raises(ValueError):
         param_eval(a + 1, {})
+
+
+def _dense_horner(variables, items, assignment) -> float:
+    """Reference Horner evaluation on dense exponent tuples aligned with
+    ``variables``; the float path of ParamPoly must match it bit for bit."""
+    if not variables:
+        return math.fsum(c for _, c in items) if items else 0.0
+    x = float(assignment[variables[0]])
+    rest = variables[1:]
+    groups: dict[int, list] = {}
+    for exps, c in items:
+        groups.setdefault(exps[0], []).append((exps[1:], c))
+    acc = 0.0
+    for e in range(max(groups), -1, -1):
+        acc = acc * x
+        if e in groups:
+            acc += _dense_horner(rest, groups[e], assignment)
+    return acc
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+finite_floats = st.floats(
+    min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
+)
+
+
+@given(
+    st.one_of(
+        poly_strategy(),
+        small_fractions.map(ParamPoly.constant),
+        st.just(ParamPoly()),
+    ),
+    finite_floats,
+    finite_floats,
+)
+@settings(max_examples=80)
+def test_evaluate_float_matches_dense_horner_bitwise(p, aval, rhoval):
+    assignment = {"a": aval, "rho": rhoval}
+    variables = p.variables
+    dense = [
+        (tuple(dict(key).get(v, 0) for v in variables), float(c))
+        for key, c in p.terms.items()
+    ]
+    expected = _dense_horner(variables, dense, assignment)
+    assert _bits(p.evaluate_float(assignment)) == _bits(expected)
+
+
+@given(dense_terms)
+@settings(max_examples=60)
+def test_parampoly_is_independent_of_variable_order(terms):
+    forward = ParamPoly(("a", "rho"), terms)
+    swapped = ParamPoly(("rho", "a"), {(r, a): c for (a, r), c in terms.items()})
+    assert forward.terms == swapped.terms
+    assert forward == swapped
+    assert str(forward) == str(swapped)
 
 
 def test_parampoly_str_is_canonical():

@@ -38,8 +38,8 @@ def oracle_moment(x_poly: ParamPoly, power: int) -> ParamPoly:
     expanded = x_poly**power
     total = ParamPoly.constant(0)
     a = ParamPoly.variable("a")
-    for exps, coeff in expanded.terms.items():
-        named = dict(zip(expanded.variables, exps))
+    for key, coeff in expanded.terms.items():
+        named = dict(key)
         u_pow = named.get("u", 0)
         v_pow = named.get("v", 0)
         moment = gaussian_moment_bivariate_conditional(u_pow, v_pow)

@@ -84,6 +84,13 @@ def test_gaussian_moment_validates():
         gaussian_moment((-1, 2), CovSpec.bivariate())
     with pytest.raises(ValueError):
         gaussian_moment((1, 2, 3), CovSpec.bivariate())  # wrong arity
+    cov = CovSpec.identity(3)
+    for index, power in ((-1, 1), (3, 1), (0, -1)):
+        with pytest.raises(ValueError):
+            GaussianPolynomial.coordinate(cov, index, power)
+    with pytest.raises(TypeError):
+        GaussianPolynomial.coordinate(cov, 1.0)
+    assert GaussianPolynomial.coordinate(cov, 2, 0) == GaussianPolynomial.constant(cov, 1)
 
 
 def test_degree_cap_guard():
@@ -226,6 +233,45 @@ def test_product_route_agrees_on_random_bivariate_pairs(fterms, gterms):
     f = GaussianPolynomial(cov, fterms or {(0, 0): 1})
     g = GaussianPolynomial(cov, gterms or {(0, 0): 1})
     assert expectation_of_product(f, g) == expectation(f * g)
+
+
+_BIVARIATE = CovSpec.bivariate()
+rho_coefficients = st.dictionaries(
+    st.integers(min_value=0, max_value=2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=2,
+).map(lambda t: ParamPoly(("rho",), {(k,): c for k, c in t.items()}))
+bivariate_polys = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)
+    ),
+    rho_coefficients,
+    max_size=3,
+).map(lambda terms: GaussianPolynomial(_BIVARIATE, terms))
+
+
+@given(bivariate_polys, bivariate_polys, bivariate_polys)
+@settings(max_examples=40, deadline=None)
+def test_gaussian_polynomial_ring_laws(f, g, h):
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) * h == f * h + g * h
+    assert (f * g) * h == f * (g * h)
+    assert f - f == GaussianPolynomial(_BIVARIATE, {})
+    for i in (0, 1):
+        lhs = (f * g).partial_derivative(i)
+        assert lhs == f.partial_derivative(i) * g + f * g.partial_derivative(i)
+
+
+def test_gaussian_polynomial_rejects_mixed_covariances():
+    f = GaussianPolynomial(_BIVARIATE, {(1, 0): 1})
+    g = GaussianPolynomial(CovSpec.identity(2), {(1, 0): 1})
+    with pytest.raises(ValueError):
+        f + g
+    with pytest.raises(ValueError):
+        f * g
+    with pytest.raises(ValueError):
+        expectation_of_product(f, g)
 
 
 def test_partial_derivative():
