@@ -2,8 +2,9 @@
 
 Everything on the exact path is computed with arbitrary-precision rationals
 (:class:`fractions.Fraction`).  Floats appear only at the named evaluation
-boundaries: :meth:`ParamPoly.evaluate_float`, :func:`param_eval` with float
-inputs, and :func:`real_roots`.
+boundaries: :meth:`ParamPoly.float_evaluator` (through which
+:meth:`ParamPoly.evaluate_float` runs), :func:`param_eval` with float inputs,
+and :func:`real_roots`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Monomial",
@@ -271,14 +272,25 @@ class ParamPoly(SparsePoly):
             total += term
         return total
 
-    def evaluate_float(self, assignment: Mapping[str, float]) -> float:
-        """Floating evaluation via nested Horner recursion over variables."""
+    def float_evaluator(self) -> Callable[[Mapping[str, float]], float]:
+        """The float evaluation function of this polynomial, with its Horner
+        plan built once; call it on each assignment to evaluate."""
         variables = self.variables
-        missing = [v for v in variables if v not in assignment]
-        if missing:
-            raise ValueError(f"missing parameter values for {missing}")
-        items = [(key, float(c)) for key, c in self.terms.items()]
-        return _horner(variables, items, assignment)
+        plan = _horner_plan(
+            variables, [(key, float(c)) for key, c in self.terms.items()]
+        )
+
+        def evaluate(assignment: Mapping[str, float]) -> float:
+            missing = [v for v in variables if v not in assignment]
+            if missing:
+                raise ValueError(f"missing parameter values for {missing}")
+            return _run_horner(plan, assignment)
+
+        return evaluate
+
+    def evaluate_float(self, assignment: Mapping[str, float]) -> float:
+        """Floating evaluation: build the Horner plan, then run it once."""
+        return self.float_evaluator()(assignment)
 
     # -- display ------------------------------------------------------------
 
@@ -308,24 +320,39 @@ class ParamPoly(SparsePoly):
         return f"ParamPoly({self})"
 
 
-def _horner(variables, items, assignment) -> float:
-    """Horner in variables[0] over groups of equal exponent, recursing on the
-    rest; each key's pairs are sorted, so variables[0] can only lead a key."""
+def _horner_plan(variables, items):
+    """Horner plan of (key, float coefficient) items: a float when no
+    variables are left (the fsum of the coefficients), else the pair
+    (variables[0], steps) whose steps, from the top exponent of variables[0]
+    down to 0, hold the plan of that exponent's group or None when no key has
+    it.  Each key's pairs are sorted, so variables[0] can only lead a key."""
     if not variables:
-        return math.fsum(c for _, c in items) if items else 0.0
+        return math.fsum(c for _, c in items)
     name, rest = variables[0], variables[1:]
-    x = float(assignment[name])
     groups: dict[int, list] = {}
     for key, c in items:
         if key and key[0][0] == name:
             groups.setdefault(key[0][1], []).append((key[1:], c))
         else:
             groups.setdefault(0, []).append((key, c))
+    steps = [
+        _horner_plan(rest, groups[e]) if e in groups else None
+        for e in range(max(groups), -1, -1)
+    ]
+    return name, steps
+
+
+def _run_horner(plan, assignment) -> float:
+    """Evaluate a Horner plan: multiply by the variable, add each group."""
+    if isinstance(plan, float):
+        return plan
+    name, steps = plan
+    x = float(assignment[name])
     acc = 0.0
-    for e in range(max(groups), -1, -1):
+    for step in steps:
         acc = acc * x
-        if e in groups:
-            acc += _horner(rest, groups[e], assignment)
+        if step is not None:
+            acc += _run_horner(step, assignment)
     return acc
 
 
@@ -438,13 +465,14 @@ def real_roots(
         raise ValueError("interval must satisfy lo < hi")
 
     name = poly.variables[0]
-    deriv = poly.derivative(name)
+    evaluate = poly.float_evaluator()
+    evaluate_deriv = poly.derivative(name).float_evaluator()
 
     def f(x: float) -> float:
-        return poly.evaluate_float({name: x})
+        return evaluate({name: x})
 
     def fprime(x: float) -> float:
-        return deriv.evaluate_float({name: x})
+        return evaluate_deriv({name: x})
 
     xs = [lo + (hi - lo) * k / _GRID_CELLS for k in range(_GRID_CELLS + 1)]
     vals = [f(x) for x in xs]

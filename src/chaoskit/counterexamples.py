@@ -227,10 +227,9 @@ def h1h5_positivity_certificate(grid_points: int = 201) -> PositivityCertificate
     grid_min = math.inf
     steps = grid_points - 1
     for i in range(grid_points):
-        row = k4.substitute("a", Fraction(20 * i, steps) - 10)
+        row = k4.substitute("a", Fraction(20 * i, steps) - 10).float_evaluator()
         for j in range(grid_points):
-            rho_val = -1.0 + 2.0 * j / steps
-            value = param_eval(row, {"rho": rho_val})
+            value = row({"rho": -1.0 + 2.0 * j / steps})
             if value < grid_min:
                 grid_min = value
 

@@ -22,6 +22,10 @@ and so is the order in which a polynomial's terms are summed: the
 lexicographic order of their dense exponent vectors, which ``_dense_order``
 gives on the sparse monomial keys.  Reports are therefore byte-identical
 across runs with the same seed.
+
+Each function that samples or estimates imports numpy itself, and
+``normal_cdf`` imports ``scipy.special``, so importing this module (and with
+it the package and its exact commands) loads neither.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
-from scipy.special import ndtr
 
 from .chaos import (
     ChaosElement,
@@ -119,6 +120,7 @@ _SLICE = 1 << 14
 
 def _ratpoly(r: np.ndarray, num: tuple, den: tuple, p=None, q=None) -> np.ndarray:
     """num(r) / den(r) by Horner's rule, written into ``p`` (``q`` is scratch)."""
+    import numpy as np
     p = np.empty_like(r) if p is None else p
     q = np.empty_like(r) if q is None else q
     for coeffs, acc in ((num, p), (den, q)):
@@ -131,6 +133,7 @@ def _ratpoly(r: np.ndarray, num: tuple, den: tuple, p=None, q=None) -> np.ndarra
 
 def _tail_quantile(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Quantile at the entries with |p - 0.5| > 0.425 (or NaN); q = p - 0.5."""
+    import numpy as np
     pt = np.where(q < 0.0, p, 1.0 - p)
     r = np.sqrt(-np.log(pt))
     # the far tail (r > 5, and NaN) is rare: evaluate each branch only where it applies
@@ -160,6 +163,7 @@ def normal_quantile(p, out=None):
     floating-point operations in the same order whatever the slicing, so the
     result does not depend on it.
     """
+    import numpy as np
     p = np.asarray(p, dtype=np.float64)
     result = np.empty(p.shape) if out is None else out
     if (
@@ -192,6 +196,9 @@ def normal_quantile(p, out=None):
 
 def normal_cdf(x, sigma: float = 1.0):
     """CDF of the centered Gaussian with standard deviation sigma."""
+    import numpy as np
+    from scipy.special import ndtr
+
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return ndtr(np.asarray(x, dtype=np.float64) / sigma)
@@ -221,6 +228,7 @@ def _chunk_rows(dimension: int) -> int:
 
 def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
     """Fill ``buf`` (rows x dimension) with chunk ``chunk_index``'s normals."""
+    import numpy as np
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.Philox(ss))
     # random() is k * 2**-53 with k = (next 64 bits) >> 11, the k of
@@ -252,6 +260,7 @@ def sample_gaussian_polynomial(
     after the same assignment.  Chunks run one after another in stream order,
     each in the same chunk-sized buffer.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("need at least one sample")
     d = f.cov.dimension
@@ -294,6 +303,7 @@ def sample_chaos(X: ChaosElement, n: int, seed: int) -> SampleSet:
 
 def _batch_estimates(values: np.ndarray, estimator) -> tuple[float, float]:
     """Full-sample point estimate plus a 20-batch standard error."""
+    import numpy as np
     n = values.shape[0]
     width = n // _BATCHES
     batches = [
@@ -305,6 +315,7 @@ def _batch_estimates(values: np.ndarray, estimator) -> tuple[float, float]:
 
 def empirical_kappa4(s: SampleSet) -> tuple[float, float]:
     """Plug-in fourth cumulant m4 - 3 m2^2 on centered samples, with SE."""
+    import numpy as np
     if s.size < 100:
         raise ValueError("fourth-cumulant estimation needs at least 100 samples")
 
@@ -319,6 +330,7 @@ def empirical_kappa4(s: SampleSet) -> tuple[float, float]:
 
 def wasserstein1_to_gaussian(s: SampleSet, sigma: float) -> float:
     """Mean absolute gap between order statistics and Gaussian quantiles."""
+    import numpy as np
     if s.size < 2:
         raise ValueError("need at least two samples")
     if sigma <= 0:
@@ -331,6 +343,7 @@ def wasserstein1_to_gaussian(s: SampleSet, sigma: float) -> float:
 
 def ks_to_gaussian(s: SampleSet, sigma: float) -> float:
     """Two-sided Kolmogorov-Smirnov statistic against N(0, sigma^2)."""
+    import numpy as np
     if s.size < 1:
         raise ValueError("need at least one sample")
     xs = np.sort(s.values)
@@ -497,6 +510,7 @@ class ExperimentReport:
 
 def _point_seed(seed: int, family: str, n: int) -> int:
     """Derived per-point seed: hash of (seed, family index, n) via SeedSequence."""
+    import numpy as np
     fam_index = FAMILY_NAMES.index(family)
     ss = np.random.SeedSequence(entropy=(int(seed), fam_index, int(n)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -5,7 +5,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoskit.algebra import (
@@ -212,6 +212,8 @@ def test_param_eval_requires_all_variables():
     a = ParamPoly.variable("a")
     with pytest.raises(ValueError):
         param_eval(a + 1, {})
+    with pytest.raises(ValueError, match="missing parameter values"):
+        param_eval(a + 1, {"rho": 0.5})
 
 
 def _dense_horner(variables, items, assignment) -> float:
@@ -241,25 +243,43 @@ finite_floats = st.floats(
 )
 
 
+# Sparse polynomials in three variables whose exponents skip 2 to 4, so
+# Horner steps with no group in them occur at every level.
+gapped_terms = st.dictionaries(
+    st.tuples(*[st.sampled_from((0, 1, 5))] * 3), small_fractions, max_size=6
+)
+
+
 @given(
     st.one_of(
         poly_strategy(),
+        gapped_terms.map(lambda terms: ParamPoly(("a", "b", "rho"), terms)),
         small_fractions.map(ParamPoly.constant),
         st.just(ParamPoly()),
     ),
-    finite_floats,
-    finite_floats,
+    st.lists(
+        st.tuples(*[st.one_of(st.just(-0.0), finite_floats)] * 3),
+        min_size=1,
+        max_size=3,
+    ),
 )
-@settings(max_examples=80)
-def test_evaluate_float_matches_dense_horner_bitwise(p, aval, rhoval):
-    assignment = {"a": aval, "rho": rhoval}
+# a step with no group must add nothing: adding 0.0 would turn -0.0 into +0.0
+@example(ParamPoly.variable("rho") ** 5, [(1.0, 1.0, -0.0)])
+@settings(max_examples=120)
+def test_evaluate_float_matches_dense_horner_bitwise(p, points):
+    """One evaluator, built once, gives the bits of evaluate_float and of the
+    dense reference at every point it is run on."""
+    evaluator = p.float_evaluator()
     variables = p.variables
     dense = [
         (tuple(dict(key).get(v, 0) for v in variables), float(c))
         for key, c in p.terms.items()
     ]
-    expected = _dense_horner(variables, dense, assignment)
-    assert _bits(p.evaluate_float(assignment)) == _bits(expected)
+    for point in points:
+        assignment = dict(zip(("a", "b", "rho"), point))
+        expected = _bits(_dense_horner(variables, dense, assignment))
+        assert _bits(p.evaluate_float(assignment)) == expected
+        assert _bits(evaluator(assignment)) == expected
 
 
 @given(dense_terms)

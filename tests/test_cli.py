@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -389,6 +391,45 @@ def test_default_output_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_main(["positivity"]) == EXIT_OK
     assert (tmp_path / "chaoskit_positivity.csv").exists()
+
+
+def _fresh_process(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    code = f"""
+import sys
+import chaoskit
+from chaoskit import algebra, chaos, counterexamples, wick
+from chaoskit.cli import main
+for argv in (
+    ["counterexample", "--output", {str(tmp_path / "c.csv")!r}],
+    ["positivity", "--grid-points", "11", "--output", {str(tmp_path / "p.csv")!r}],
+):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+print(sorted({{"numpy", "scipy"}} & set(sys.modules)))
+"""
+    proc = _fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "c.csv").exists() and (tmp_path / "p.csv").exists()
+
+
+def test_montecarlo_import_leaves_scipy_special_unloaded():
+    proc = _fresh_process(
+        "import sys, chaoskit.montecarlo; print('scipy.special' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_runs():

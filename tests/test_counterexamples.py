@@ -107,6 +107,7 @@ class TestDegree13:
         rep = counterexample_h1h3()
         assert abs(rep.rho_star_numeric - rep.rho_star_closed_form) <= 1e-10
         assert abs(rep.rho_star_numeric - (-0.39665)) <= 1e-4
+        assert rep.rho_star_numeric.hex() == "-0x1.962ce324d7d18p-2"
         residual = param_eval(rep.kappa4_poly, {"rho": rep.rho_star_numeric})
         assert abs(residual) <= 1e-9
         assert len(real_roots(rep.kappa4_poly, (-1.0, 1.0))) == 1
@@ -233,6 +234,7 @@ class TestPositivityCertificate:
         cert = h1h5_positivity_certificate()
         # attained at (a, rho) = (+-10, -+1): 720000 - 8640000 + 66960000
         assert cert.grid_min == 59040000.0
+        assert cert.grid_min.hex() == "0x1.c270800000000p+25"
         assert cert.grid_min > 0
 
     def test_radicand_zero_only_at_a_zero(self):

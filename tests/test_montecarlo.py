@@ -244,7 +244,7 @@ def test_largest_draw_gives_a_finite_normal(monkeypatch):
             out[...] = (2.0**53 - 1) * 2.0**-53
             return out
 
-    monkeypatch.setattr(montecarlo.np.random, "Generator", LargestDraw)
+    monkeypatch.setattr(np.random, "Generator", LargestDraw)
     z = montecarlo._normal_chunk(42, 0, np.empty((3, 2)))
     assert np.all(np.isfinite(z))
     assert np.all(z == normal_quantile(np.nextafter(1.0, 0.0)))
