@@ -4,13 +4,14 @@ Everything on the exact path is computed with arbitrary-precision rationals
 (:class:`fractions.Fraction`).  Floats appear only at the named evaluation
 boundaries: :meth:`ParamPoly.float_evaluator` (through which
 :meth:`ParamPoly.evaluate_float` runs), :func:`param_eval` with float inputs,
-and :func:`real_roots`.
+and :func:`real_roots`, which is exact until it rounds the roots it returns.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
@@ -20,7 +21,6 @@ __all__ = [
     "SparsePoly",
     "ParamPoly",
     "HermitePoly",
-    "RootFindError",
     "double_factorial",
     "hermite",
     "hermite_expand",
@@ -433,87 +433,87 @@ def hermite_expand(coefficients: Sequence[ExactScalar]) -> dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-class RootFindError(RuntimeError):
-    """Root polishing failed to converge within its iteration budget."""
+def _divmod(num, den):
+    """Quotient and remainder of coefficient lists, highest degree first."""
+    num, quot = list(num), []
+    while len(num) >= len(den):
+        quot.append(num[0] / den[0])
+        pad = den[1:] + [0] * (len(num) - len(den))
+        num = [c - quot[-1] * d for c, d in zip(num[1:], pad)]
+    while num and not num[0]:
+        del num[0]
+    return quot, num
 
 
-_GRID_CELLS = 1024
-_POLISH_BUDGET = 50
+def _derivative(p):
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
 
 
-def real_roots(
-    poly: ParamPoly,
-    interval: tuple[float, float],
-    tol: float = 1e-12,
-) -> list[float]:
-    """Real roots of a univariate polynomial on a closed interval.
+def _sign_at(p, x: float) -> int:
+    """Exact sign of the integer polynomial p at the double x."""
+    num, den = x.as_integer_ratio()
+    acc = 0
+    for k, c in enumerate(p):
+        acc = acc * num + c * den**k
+    return (acc > 0) - (acc < 0)
 
-    Sign changes are isolated on a uniform grid of ``_GRID_CELLS`` cells,
-    refined by bisection to width <= tol, then polished with Newton steps.
-    Roots are returned ascending and deduplicated to within 2*tol.  Raises
-    :class:`RootFindError` if a Newton polish fails to settle within
-    ``_POLISH_BUDGET`` iterations.
+
+def _ordinal(x: float) -> int:
+    """Rank of x among the doubles: 0.0 is 0, adjacent doubles differ by 1."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return bits if bits < 1 << 63 else (1 << 63) - bits
+
+
+def _double(k: int) -> float:
+    """The double of rank k (inverse of :func:`_ordinal`)."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else (1 << 63) - k))[0]
+
+
+def real_roots(poly: ParamPoly, interval: tuple[float, float]) -> list[float]:
+    """Distinct real roots of a univariate polynomial on [lo, hi], ascending,
+    each as the largest double <= the root (two roots in one ulp cell give
+    that double twice).  Exact until that rounding: the Sturm chain of the
+    square-free part p / gcd(p, p') counts the roots in (a, b] between
+    doubles, intervals are halved until each holds one root, and the exact
+    sign of the square-free part bisects it down to adjacent doubles.
     """
     if not isinstance(poly, ParamPoly) or len(poly.variables) != 1:
         raise ValueError("real_roots expects a univariate ParamPoly")
-    if poly.degree() < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("interval must be finite with lo < hi")
 
     name = poly.variables[0]
-    evaluate = poly.float_evaluator()
-    evaluate_deriv = poly.derivative(name).float_evaluator()
+    p = [poly.coefficient(**{name: e}) for e in range(poly.degree(), -1, -1)]
+    g, r = p, _derivative(p)
+    while r:
+        g, r = r, _divmod(g, r)[1]
+    chain = [_divmod(p, g)[0]]
+    chain.append(_derivative(chain[0]))
+    while len(chain[-1]) > 1:  # a square-free chain ends in a nonzero constant
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    for k, s in enumerate(chain):  # a positive multiple keeps every sign
+        scale = math.lcm(*(c.denominator for c in s))
+        chain[k] = [c.numerator * (scale // c.denominator) for c in s]
+    square_free = chain[0]
 
-    def f(x: float) -> float:
-        return evaluate({name: x})
+    def variations(k: int) -> int:
+        signs = [s for s in (_sign_at(q, _double(k)) for q in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
 
-    def fprime(x: float) -> float:
-        return evaluate_deriv({name: x})
+    def isolate(a: int, b: int, va: int, vb: int) -> list[float]:
+        """Roots in (_double(a), _double(b)], whose variations are va, vb."""
+        n = va - vb
+        if n > 1 and b - a > 1:
+            m = (a + b) // 2
+            vm = variations(m)
+            return isolate(a, m, va, vm) + isolate(m, b, vm, vb)
+        side = _sign_at(square_free, _double(b))  # 0 when a root sits at b
+        while n == 1 and side and b - a > 1:  # bisect on the sign flip
+            m = (a + b) // 2
+            a, b = (a, m) if _sign_at(square_free, _double(m)) == side else (m, b)
+        return [_double(a)] * (n - (not side)) + [_double(b)] * (not side)
 
-    xs = [lo + (hi - lo) * k / _GRID_CELLS for k in range(_GRID_CELLS + 1)]
-    vals = [f(x) for x in xs]
-
-    roots = [x for x, v in zip(xs, vals) if v == 0.0]
-    for k in range(_GRID_CELLS):
-        fa, fb = vals[k], vals[k + 1]
-        if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-            continue
-        a, b = xs[k], xs[k + 1]
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        x = 0.5 * (a + b)
-        for _ in range(_POLISH_BUDGET):
-            g = fprime(x)
-            if g == 0.0:
-                break  # keep the bisection value; already within tol
-            step = f(x) / g
-            candidate = x - step
-            if not math.isfinite(candidate):
-                raise RootFindError("Newton polish produced a non-finite iterate")
-            x = candidate
-            if abs(step) <= 0.25 * tol:
-                break
-        else:
-            raise RootFindError(
-                f"Newton polish did not converge within {_POLISH_BUDGET} iterations"
-            )
-        roots.append(min(max(x, lo), hi))
-
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 2 * tol:
-            deduped.append(r)
-    return deduped
+    a, b = _ordinal(lo), _ordinal(hi)
+    at_lo = [_double(a)] if _sign_at(square_free, lo) == 0 else []
+    return at_lo + isolate(a, b, variations(a), variations(b))

@@ -94,8 +94,8 @@ def counterexample_h1h3() -> CounterexampleReport:
     """Build the full exact report for X = 10 U + H3(V).
 
     The fourth cumulant is strictly increasing in rho (its derivative has
-    negative discriminant), so the cubic has exactly one real root; the root
-    finder is asked for roots in (-1, 1) and must return exactly one.
+    negative discriminant), so the cubic has exactly one real root; real_roots
+    counts it exactly on [-1, 1] and returns the largest double <= it.
     """
     x = h1h3_element()
     x2 = x * x

@@ -87,11 +87,12 @@ def test_hermite_evaluation_matches_recurrence(p, x):
     by_coeffs = sum(c * x**k for k, c in enumerate(hermite(p).coefficients))
     prev, cur = Fraction(1), x
     if p == 0:
-        assert by_coeffs == 1
+        assert by_coeffs == hermite(p)(x) == 1
         return
     for k in range(1, p):
         prev, cur = cur, x * cur - k * prev
     assert by_coeffs == cur
+    assert hermite(p)(x) == cur
 
 
 def test_hermite_rejects_negative_degree():
@@ -330,6 +331,15 @@ def test_real_roots_validates_input():
         real_roots(x + y, (0.0, 1.0))
     with pytest.raises(ValueError):
         real_roots(x, (1.0, -1.0))
+    for interval in [
+        (-math.inf, 1.0),
+        (-1.0, math.inf),
+        (-math.inf, math.inf),
+        (math.nan, 1.0),
+        (-1.0, math.nan),
+    ]:
+        with pytest.raises(ValueError):
+            real_roots(x, interval)
 
 
 def test_real_roots_increasing_cubic_single_root():
@@ -340,3 +350,62 @@ def test_real_roots_increasing_cubic_single_root():
     assert len(roots) == 1
     value = param_eval(p, {"rho": roots[0]})
     assert abs(value) < 1e-9
+
+
+def floor_double(r: Fraction) -> float:
+    """The largest double <= r."""
+    f = float(r)
+    return math.nextafter(f, -math.inf) if Fraction(f) > r else f
+
+
+TENTH = Fraction(1, 10)
+
+
+# 1/10 is not a double; the largest double below it is 0.09999999999999999,
+# while 0.1 itself lies above 1/10.  The double 0.1001 lies below 1001/10000.
+@pytest.mark.parametrize(
+    "roots,expected",
+    [
+        ([TENTH, TENTH], [0.09999999999999999]),
+        ([TENTH, Fraction(1001, 10000)], [0.09999999999999999, 0.1001]),
+        ([TENTH, TENTH, TENTH], [0.09999999999999999]),
+        # two roots inside one ulp cell give its lower double twice
+        ([TENTH, TENTH + Fraction(1, 10**30)], [0.09999999999999999] * 2),
+    ],
+)
+def test_real_roots_multiple_and_close_roots_exactly(roots, expected):
+    x = ParamPoly.variable("x")
+    p = ParamPoly.constant(1)
+    for r in roots:
+        p = p * (x - r)
+    assert real_roots(p, (-1.0, 1.0)) == expected
+    assert expected == sorted(floor_double(r) for r in set(roots))
+
+
+def test_real_roots_include_both_endpoints():
+    x = ParamPoly.variable("x")
+    assert real_roots((x + 1) * (x - 1), (-1.0, 1.0)) == [-1.0, 1.0]
+    p = (x - Fraction(1, 4)) * (x - Fraction(3, 4)) * (x - 2)
+    assert real_roots(p, (0.25, 0.75)) == [0.25, 0.75]
+    assert real_roots(p, (0.5, 2.0)) == [0.75, 2.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=4, max_size=4),
+    st.fractions(min_value=-3, max_value=3).filter(bool),
+)
+@example([Fraction(-1), Fraction(0), Fraction(1)], [1, 2, 1], Fraction(1))
+def test_real_roots_are_floors_of_distinct_rational_roots(roots, powers, scale):
+    x = ParamPoly.variable("x")
+    p = ParamPoly.constant(scale)
+    for r, k in zip(roots, powers):  # a double root is still returned once
+        p = p * (x - r) ** k
+    expected = sorted(floor_double(r) for r in roots if -1 <= r <= 1)
+    assert real_roots(p, (-1.0, 1.0)) == expected

@@ -283,6 +283,16 @@ def test_main_rejects_bad_seed(tmp_path):
     assert code == 2
 
 
+def test_non_integer_env_seed_and_grid_exit_2(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "x.csv")
+    monkeypatch.setenv("CHAOSKIT_SEED", "4.5")
+    assert run_main(["lemma-suite", "--output", out]) == 2
+    assert "CHAOSKIT_SEED must be an integer" in capsys.readouterr().err
+    monkeypatch.delenv("CHAOSKIT_SEED")
+    assert run_main(["clt", "--n-grid", "4,x", "--output", out]) == 2
+    assert "bad n-grid" in capsys.readouterr().err
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     env_file = tmp_path / "env.csv"
     flag_file = tmp_path / "flag.csv"
@@ -371,6 +381,10 @@ def test_config_file_must_be_object(tmp_path):
         ({"grid_points": False}, "grid_points must be an integer"),
         ({"n_grid": [4, 16.0]}, "n_grid must be a list of integers"),
         ({"n_grid": [True, 4]}, "n_grid must be a list of integers"),
+        ({"pairs": 0}, "pairs must be positive"),
+        ({"grid_points": 1}, "grid-points must be at least 2"),
+        ({"format": "xml"}, "unknown format"),
+        ({"family": "nope"}, "unknown family"),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, values, message):

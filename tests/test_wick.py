@@ -152,17 +152,21 @@ def test_identity_entries_on_request():
 
 
 def test_cholesky_reproduces_matrix():
-    rho = 0.5
-    cov = CovSpec.bivariate(Fraction(1, 2))
-    factor = cov.cholesky_factor()
-    d = len(factor)
-    product = [
-        [sum(factor[i][k] * factor[j][k] for k in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
-    assert abs(product[0][0] - 1.0) < 1e-12
-    assert abs(product[0][1] - rho) < 1e-12
-    assert abs(product[1][1] - 1.0) < 1e-12
+    for matrix in [
+        [[1, Fraction(1, 2)], [Fraction(1, 2), 1]],  # CovSpec.bivariate(1/2)
+        # a later diagonal entry is the larger, so the pivot rows swap
+        [[1, 1], [1, 4]],
+        [[1, 2, 0], [2, 9, 3], [0, 3, 4]],
+    ]:
+        factor = CovSpec(matrix).cholesky_factor()
+        d = len(factor)
+        product = [
+            [sum(factor[i][k] * factor[j][k] for k in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        for i in range(d):
+            for j in range(d):
+                assert abs(product[i][j] - matrix[i][j]) < 1e-12
 
 
 def test_cholesky_handles_singular_psd():
@@ -178,9 +182,13 @@ def test_cholesky_handles_singular_psd():
 
 
 def test_cholesky_rejects_indefinite():
-    cov = CovSpec([[1, 2], [2, 1]])
-    with pytest.raises(ValueError):
-        cov.cholesky_factor()
+    for matrix in [
+        [[1, 2], [2, 1]],
+        # the zero pivot ends the factorization; the -1 below it is found late
+        [[1, 1, 0], [1, 1, 0], [0, 0, -1]],
+    ]:
+        with pytest.raises(ValueError):
+            CovSpec(matrix).cholesky_factor()
 
 
 # ---------------------------------------------------------------------------
