@@ -39,6 +39,13 @@ def _as_fraction(value: ExactScalar) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
+def _as_index(value) -> int:
+    """An integer argument as an int; bools and non-integers raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"integer expected, got {value!r}")
+    return operator.index(value)
+
+
 def double_factorial(n: int) -> int:
     """Product n * (n-2) * ... * 3 * 1 of an odd positive integer.
 
@@ -141,6 +148,23 @@ class SparsePoly:
             result = result * self
         return result
 
+    @staticmethod
+    def _from_dense(names: Sequence, terms: Mapping | None, coerce) -> dict:
+        """Sparse terms from dense exponent tuples aligned with ``names``;
+        coefficients go through ``coerce``, equal keys add, zeros drop."""
+        out = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(map(_as_index, exps))
+            if len(exps) != len(names):
+                raise ValueError(f"exponent tuple {exps!r} does not match {names!r}")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps!r}")
+            key = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
+            value = coerce(coeff)
+            existing = out.get(key)
+            out[key] = value if existing is None else existing + value
+        return {k: c for k, c in out.items() if c}
+
     def derivative(self, variable):
         """Partial derivative in ``variable``, treating it as a plain variable."""
         out = {}
@@ -173,18 +197,7 @@ class ParamPoly(SparsePoly):
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names!r}")
-        accumulated: dict[Monomial, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(map(operator.index, exps))
-            if len(exps) != len(names):
-                raise ValueError(f"exponent tuple {exps!r} does not match {names!r}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps!r}")
-            key = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
-            value = _as_fraction(coeff)
-            if value:
-                accumulated[key] = accumulated.get(key, Fraction(0)) + value
-        self.terms = {k: c for k, c in accumulated.items() if c}
+        self.terms = self._from_dense(names, terms, _as_fraction)
 
     @staticmethod
     def _like(terms: Mapping[Monomial, Fraction]) -> "ParamPoly":

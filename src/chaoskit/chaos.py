@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import Monomial, ParamPoly, _as_fraction, hermite
+from .algebra import Monomial, ParamPoly, _as_fraction, _as_index, hermite
 from .wick import CovSpec, GaussianPolynomial
 
 __all__ = [
@@ -75,9 +75,10 @@ class SymTensor:
         order: int,
         coeffs: Mapping[tuple[int, ...], Union[Fraction, int]] | None = None,
     ):
-        if not isinstance(order, int) or order < 1:
+        order, dimension = _as_index(order), _as_index(dimension)
+        if order < 1:
             raise ValueError(f"order must be a positive integer, got {order!r}")
-        if not isinstance(dimension, int) or dimension < 1:
+        if dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (coeffs or {}).items():
@@ -128,17 +129,6 @@ class SymTensor:
         for idx, value in self.coeffs.items():
             for perm in set(itertools.permutations(idx)):
                 yield perm, value
-
-    def slot(self, index: int) -> "SymTensor":
-        """Contract one slot against the basis vector e_index (order >= 2)."""
-        if self.order < 2:
-            raise ValueError("slot contraction needs order >= 2")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for idx, value in self.coeffs.items():
-            if index in idx:
-                pos = idx.index(index)
-                out[idx[:pos] + idx[pos + 1 :]] = value
-        return SymTensor(self.dimension, self.order - 1, out)
 
     def scale(self, factor: Union[Fraction, int]) -> "SymTensor":
         factor = _as_fraction(factor)
@@ -378,7 +368,8 @@ class ChaosElement:
     def __init__(self, dimension: int, components: Mapping[int, SymTensor]):
         cleaned: dict[int, SymTensor] = {}
         for order, tensor in components.items():
-            if not isinstance(order, int) or order < 1:
+            order = _as_index(order)
+            if order < 1:
                 raise ValueError(f"component orders must be >= 1, got {order!r}")
             if tensor.order != order:
                 raise ValueError(
@@ -552,22 +543,11 @@ def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
 
 
 def malliavin_derivative(X: ChaosElement) -> HVector:
-    """The gradient D X; coordinate i is sum_p p * I_{p-1}(u_p(., e_i))."""
-    cov = CovSpec.identity(X.dimension)
-    entries = []
-    for i in range(X.dimension):
-        poly = GaussianPolynomial(cov, {})
-        for p, u in X.components.items():
-            if p == 1:
-                c = u.coeffs.get((i,))
-                if c:
-                    poly = poly + GaussianPolynomial.constant(cov, c)
-            else:
-                slot = u.slot(i)
-                if not slot.is_zero:
-                    poly = poly + multiple_integral(slot) * p
-        entries.append(poly)
-    return HVector(X.dimension, tuple(entries))
+    """The gradient D X: X is a polynomial of i.i.d. standard coordinates,
+    so D_i X is its partial derivative in x_i (which equals
+    sum_p p * I_{p-1}(u_p(., e_i)))."""
+    f = X.compile()
+    return HVector(X.dimension, tuple(f.derivative(i) for i in range(X.dimension)))
 
 
 def ou_apply(X: ChaosElement) -> ChaosElement:

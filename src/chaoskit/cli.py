@@ -586,10 +586,34 @@ def _emit(report: ExperimentReport, rows: list[Row], config: RunConfig) -> int:
     return EXIT_OK if report.all_pass else EXIT_SUITE_FAILURE
 
 
+def _check_config(config: RunConfig) -> None:
+    """Raise ValueError when a setting of ``config`` is out of range."""
+    if not 0 <= config.seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    if config.format not in ("csv", "json"):
+        raise ValueError(f"unknown format {config.format!r}")
+    if config.family not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {config.family!r}")
+    if config.pairs < 1:
+        raise ValueError("pairs must be positive")
+    if config.grid_points < 2:
+        raise ValueError("grid-points must be at least 2")
+    if config.command == "clt":
+        if not config.n_grid or any(
+            b <= a for a, b in zip(config.n_grid, config.n_grid[1:])
+        ):
+            raise ValueError("n-grid must be strictly increasing")
+        if any(n < 1 for n in config.n_grid):
+            raise ValueError("n-grid entries must be positive")
+        if config.samples < 100:
+            raise ValueError("samples must be at least 100 for simulation commands")
+
+
 def run(config: RunConfig) -> int:
     """Execute one suite and write its report; returns the process exit code."""
     if config.command not in _SUITES:
         raise ValueError(f"unknown command {config.command!r}")
+    _check_config(config)
     report, rows = _SUITES[config.command](config)
     report.parameters.setdefault("generator_id", GENERATOR_ID)
     return _emit(report, rows, config)
@@ -690,25 +714,10 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         grid_points=integer("grid_points"),
     )
 
-    if not 0 <= config.seed < 2**64:
-        parser.error("seed must fit in 64 unsigned bits")
-    if config.format not in ("csv", "json"):
-        parser.error(f"unknown format {config.format!r}")
-    if config.family not in FAMILY_NAMES:
-        parser.error(f"unknown family {config.family!r}")
-    if config.pairs < 1:
-        parser.error("pairs must be positive")
-    if config.grid_points < 2:
-        parser.error("grid-points must be at least 2")
-    if config.command == "clt":
-        if not config.n_grid or any(
-            b <= a for a, b in zip(config.n_grid, config.n_grid[1:])
-        ):
-            parser.error("n-grid must be strictly increasing")
-        if any(n < 1 for n in config.n_grid):
-            parser.error("n-grid entries must be positive")
-        if config.samples < 100:
-            parser.error("samples must be at least 100 for simulation commands")
+    try:
+        _check_config(config)
+    except ValueError as exc:
+        parser.error(str(exc))
     return config
 
 

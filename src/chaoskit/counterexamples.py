@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .algebra import ParamPoly, param_eval, real_roots
 from .wick import CovSpec, GaussianPolynomial, cumulant, expectation, expectation_of_product
@@ -133,22 +132,11 @@ def counterexample_h1h3() -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_a(a) -> Union[ParamPoly, Fraction]:
-    if a is None:
-        return ParamPoly.variable("a")
-    if isinstance(a, ParamPoly):
-        return a
-    if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
-        return Fraction(a)
-    raise TypeError("a must be None (symbolic), an int, a Fraction, or a ParamPoly")
-
-
 def h1h5_element(a=None) -> GaussianPolynomial:
     """X = a U + V^5 - 10 V^3 + 15 V; a symbolic by default."""
     cov = CovSpec.bivariate()
-    return GaussianPolynomial(
-        cov, {(1, 0): _coerce_a(a), (0, 5): 1, (0, 3): -10, (0, 1): 15}
-    )
+    a = ParamPoly.variable("a") if a is None else a
+    return GaussianPolynomial(cov, {(1, 0): a, (0, 5): 1, (0, 3): -10, (0, 1): 15})
 
 
 def h1h5_second_moment(a=None) -> ParamPoly:

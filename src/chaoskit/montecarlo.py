@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .algebra import _as_index
 from .chaos import (
     ChaosElement,
     SymTensor,
@@ -199,8 +199,8 @@ def normal_cdf(x, sigma: float = 1.0):
     import numpy as np
     from scipy.special import ndtr
 
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     return ndtr(np.asarray(x, dtype=np.float64) / sigma)
 
 
@@ -333,8 +333,8 @@ def wasserstein1_to_gaussian(s: SampleSet, sigma: float) -> float:
     import numpy as np
     if s.size < 2:
         raise ValueError("need at least two samples")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     xs = np.sort(s.values)
     n = xs.shape[0]
     grid = (np.arange(1, n + 1) - 0.5) / n
@@ -365,8 +365,8 @@ def gaussian_distance_bound(sigma: float, sigma_n: float) -> DistanceBounds:
     tv <= 2 |sigma_n^2 - sigma^2| / max(sigma_n^2, sigma^2) and
     w  <= sqrt(2/pi) |sigma_n^2 - sigma^2| / max(sigma_n, sigma).
     """
-    if sigma <= 0 or sigma_n <= 0:
-        raise ValueError("standard deviations must be positive")
+    if not (0 < sigma < math.inf and 0 < sigma_n < math.inf):
+        raise ValueError("standard deviations must be positive and finite")
     gap = abs(sigma_n * sigma_n - sigma * sigma)
     tv = 2.0 * gap / max(sigma_n * sigma_n, sigma * sigma)
     w = math.sqrt(2.0 / math.pi) * gap / max(sigma_n, sigma)
@@ -476,6 +476,7 @@ class FamilyPoint:
 def family_point(family: str, n: int) -> FamilyPoint:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
+    n = _as_index(n)
     if n < 1:
         raise ValueError("n must be positive")
     full, scale_sq = _family_element(family, n)
@@ -530,7 +531,8 @@ def clt_experiment(
 
     * ``kappa4_decreasing``: the exact fourth cumulant strictly decreases.
     * ``w1_within_bound[n=..]``: empirical W1 <= Wasserstein bound + slack.
-    * ``w1_trend`` (different-parity families): W1 non-increasing up to slack.
+    * ``w1_trend`` (``dyadic_p2`` and ``mixed_p2_q3``): W1 non-increasing up
+      to slack.
     * ``ks_decreasing`` / ``ks_small_at_max`` (independent-blocks family).
     * ``contraction_decreasing`` (dyadic family).
 
@@ -539,10 +541,10 @@ def clt_experiment(
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    n_grid = [operator.index(n) for n in n_grid]
+    n_grid = [_as_index(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be nonempty and strictly increasing")
-    m = operator.index(samples_per_point)
+    m = _as_index(samples_per_point)
     if m < 100:
         raise ValueError("need at least 100 samples per point")
 

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import Monomial, ParamPoly, SparsePoly, _merge, double_factorial
+from .algebra import Monomial, ParamPoly, SparsePoly, _as_index, _merge, double_factorial
 
 __all__ = [
     "DEGREE_CAP",
@@ -84,6 +84,7 @@ class CovSpec:
     @classmethod
     def identity(cls, dimension: int) -> "CovSpec":
         """The i.i.d. standard Gaussian covariance; rows are built only when read."""
+        dimension = _as_index(dimension)
         if dimension < 1:
             raise ValueError("covariance entries must form a square matrix")
         cov = cls.__new__(cls)
@@ -286,21 +287,8 @@ class GaussianPolynomial(SparsePoly):
         cov: CovSpec,
         terms: Mapping[tuple[int, ...], Union[ParamPoly, int, Fraction]] | None = None,
     ):
-        sparse: dict[Monomial, ParamPoly] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(map(operator.index, exps))
-            if len(exps) != cov.dimension:
-                raise ValueError(
-                    f"exponent tuple {exps!r} does not match dimension {cov.dimension}"
-                )
-            if min(exps) < 0:
-                raise ValueError("negative exponent")
-            key = tuple((i, e) for i, e in enumerate(exps) if e)
-            coeff = ParamPoly._coerce(coeff)
-            existing = sparse.get(key)
-            sparse[key] = coeff if existing is None else existing + coeff
         self.cov = cov
-        self.terms = {k: c for k, c in sparse.items() if c}
+        self.terms = self._from_dense(range(cov.dimension), terms, ParamPoly._coerce)
 
     @classmethod
     def _of(cls, cov: CovSpec, terms: Mapping[Monomial, ParamPoly]):

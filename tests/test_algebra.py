@@ -217,6 +217,21 @@ def test_param_eval_requires_all_variables():
         param_eval(a + 1, {"rho": 0.5})
 
 
+def test_param_poly_validation():
+    for names, terms in (
+        (("a", "a"), {}),  # duplicate names
+        (("a", "rho"), {(1,): 1}),  # wrong arity
+        (("a",), {(-1,): 1}),  # negative exponent
+    ):
+        with pytest.raises(ValueError):
+            ParamPoly(names, terms)
+    a = ParamPoly.variable("a")
+    with pytest.raises(ValueError, match="not constant"):
+        (a + 1).constant_value()
+    with pytest.raises(ValueError):
+        a**-1
+
+
 def _dense_horner(variables, items, assignment) -> float:
     """Reference Horner evaluation on dense exponent tuples aligned with
     ``variables``; the float path of ParamPoly must match it bit for bit."""

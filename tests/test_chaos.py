@@ -69,6 +69,11 @@ def test_symtensor_validation():
         SymTensor(2, 0, {})  # order must be >= 1
     with pytest.raises(ValueError):
         SymTensor(2, 2, {(0,): 1})  # wrong arity
+    for other in (SymTensor(3, 2, {(0, 1): 1}), SymTensor(2, 1, {(0,): 1})):
+        with pytest.raises(ValueError):
+            sym_pair().inner(other)  # shape mismatch
+        with pytest.raises(ValueError):
+            sym_pair() + other
 
 
 def test_tensor_validation():
@@ -119,12 +124,15 @@ def test_symmetrize_order_three_orbit_of_three():
 
 
 def test_slot_contracts_one_index():
+    def slot(u, i):
+        return contract_sym(u, SymTensor(u.dimension, 1, {(i,): 1}), 1)
+
     u = sym_pair()
-    assert u.slot(0).coeffs == {(1,): HALF}
-    assert u.slot(1).coeffs == {(0,): HALF}
+    assert slot(u, 0).coeffs == {(1,): HALF}
+    assert slot(u, 1).coeffs == {(0,): HALF}
     deep = SymTensor(2, 3, {(0, 0, 1): Fraction(1, 3)})
-    assert deep.slot(0).coeffs == {(0, 1): Fraction(1, 3)}
-    assert deep.slot(1).coeffs == {(0, 0): Fraction(1, 3)}
+    assert slot(deep, 0).coeffs == {(0, 1): Fraction(1, 3)}
+    assert slot(deep, 1).coeffs == {(0, 0): Fraction(1, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +166,8 @@ def test_contract_validation():
         contract(u, u, 3)
     with pytest.raises(ValueError):
         contract_sym(u, u, 2)  # order-0 result
+    with pytest.raises(ValueError):
+        product_formula_expand(u, SymTensor(3, 2, {(0, 1): 1}))
 
 
 def test_contract_sym_is_symmetric_kernel():
@@ -371,6 +381,8 @@ def test_chaos_element_validation():
         ChaosElement(2, {2: SymTensor(3, 2, {(0, 1): 1})})  # dimension clash
     with pytest.raises(ValueError):
         ChaosElement(2, {3: sym_pair()})  # key does not match order
+    with pytest.raises(ValueError):
+        ChaosElement(2, {2: sym_pair()}) + ChaosElement(3, {2: sym_pair(3)})
 
 
 def test_chaos_element_add_and_scale():
@@ -612,6 +624,8 @@ def test_kappa4_decomposition_rejects_same_parity():
     v = sym_pair()
     with pytest.raises(ValueError):
         kappa4_decomposition(u, v)
+    with pytest.raises(ValueError):  # dimension mismatch
+        kappa4_decomposition(SymTensor(3, 1, {(0,): 1}), v)
 
 
 @given(
@@ -662,6 +676,8 @@ def test_mixed_term_requires_strictly_increasing_orders():
         mixed_term_bound_check(u, u)
     with pytest.raises(ValueError):
         mixed_term_bound_check(SymTensor(2, 2, {(0, 0): 1}), SymTensor(2, 1, {(0,): 1}))
+    with pytest.raises(ValueError):  # dimension mismatch
+        mixed_term_bound_check(SymTensor(3, 1, {(0,): 1}), u)
 
 
 @given(

@@ -220,6 +220,31 @@ def test_unknown_command_rejected():
         run(RunConfig(command="mystery"))
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"seed": -1}, "seed must fit in 64 unsigned bits"),
+        ({"seed": 2**64}, "seed must fit in 64 unsigned bits"),
+        ({"format": "xml"}, "unknown format"),
+        ({"family": "nope"}, "unknown family"),
+        ({"pairs": 0}, "pairs must be positive"),
+        ({"grid_points": 1}, "grid-points must be at least 2"),
+        ({"command": "clt", "n_grid": []}, "n-grid must be strictly increasing"),
+        ({"command": "clt", "n_grid": [4, 4]}, "n-grid must be strictly increasing"),
+        ({"command": "clt", "n_grid": [0, 4]}, "n-grid entries must be positive"),
+        ({"command": "clt", "samples": 50}, "samples must be at least 100"),
+    ],
+)
+def test_run_rejects_bad_config_and_writes_nothing(tmp_path, changes, message):
+    out = tmp_path / "report.out"
+    config = dataclasses.replace(
+        RunConfig("lemma-suite", pairs=2, output_path=str(out)), **changes
+    )
+    with pytest.raises(ValueError, match=message):
+        run(config)
+    assert not out.exists()
+
+
 def test_emit_failure_exit_code(tmp_path, capsys):
     report = ExperimentReport(name="synthetic")
     report.parameters["tolerance.broken"] = "exact"
@@ -407,12 +432,12 @@ def test_default_output_path(tmp_path, monkeypatch):
     assert (tmp_path / "chaoskit_positivity.csv").exists()
 
 
-def _fresh_process(code: str) -> subprocess.CompletedProcess:
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
 
 
@@ -432,7 +457,7 @@ for argv in (
         assert exc.code == 0, (argv, exc.code)
 print(sorted({{"numpy", "scipy"}} & set(sys.modules)))
 """
-    proc = _fresh_process(code)
+    proc = _fresh_process("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "c.csv").exists() and (tmp_path / "p.csv").exists()
@@ -440,7 +465,7 @@ print(sorted({{"numpy", "scipy"}} & set(sys.modules)))
 
 def test_montecarlo_import_leaves_scipy_special_unloaded():
     proc = _fresh_process(
-        "import sys, chaoskit.montecarlo; print('scipy.special' in sys.modules)"
+        "-c", "import sys, chaoskit.montecarlo; print('scipy.special' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -455,3 +480,13 @@ def test_console_script_runs():
     assert proc.returncode == 0
     for name in ("counterexample", "lemma-suite", "bounds-suite", "clt", "positivity"):
         assert name in proc.stdout
+
+
+def test_python_dash_m_runs_without_warnings(tmp_path):
+    out = tmp_path / "c.csv"
+    proc = _fresh_process(
+        "-W", "error", "-m", "chaoskit", "counterexample", "--output", str(out)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.exists()

@@ -176,6 +176,11 @@ class TestDegree15:
         assert h1h5_second_moment() == a * a + 120
         assert h1h5_second_moment(3) == ParamPoly.constant(129)
 
+    @pytest.mark.parametrize("a", [0.5, True])
+    def test_a_must_be_exact(self, a):
+        with pytest.raises(TypeError):
+            kappa4_h1h5(a)
+
     def test_fourth_cumulant_symbolic_both_routes(self):
         a = ParamPoly.variable("a")
         rho = ParamPoly.variable("rho")

@@ -157,6 +157,9 @@ def test_quantile_out_may_alias_the_input():
 def test_cdf_with_scale():
     assert abs(normal_cdf(0.0, sigma=3.0) - 0.5) < 1e-15
     assert abs(normal_cdf(3.0, sigma=3.0) - normal_cdf(1.0)) < 1e-15
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            normal_cdf(0.0, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +350,9 @@ def test_wasserstein_two_zeros_is_quartile():
 def test_wasserstein_needs_two_samples():
     with pytest.raises(ValueError):
         wasserstein1_to_gaussian(SampleSet(values=np.zeros(1), seed=0), 1.0)
+    for sigma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wasserstein1_to_gaussian(SampleSet(values=np.zeros(2), seed=0), sigma)
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
@@ -385,8 +391,9 @@ def test_distance_bounds():
     b = gaussian_distance_bound(1.0, math.sqrt(2.0))
     assert abs(b.tv_bound - 1.0) < 1e-12
     assert abs(b.w_bound - math.sqrt(2.0 / math.pi) / math.sqrt(2.0)) < 1e-12
-    with pytest.raises(ValueError):
-        gaussian_distance_bound(0.0, 1.0)
+    for sigma, sigma_n in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            gaussian_distance_bound(sigma, sigma_n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from chaoskit import wick
 from chaoskit.algebra import ParamPoly, double_factorial, param_eval
-from chaoskit.chaos import SymTensor, Tensor, multiple_integral
+from chaoskit.chaos import ChaosElement, SymTensor, Tensor, multiple_integral
+from chaoskit.montecarlo import clt_experiment, family_point
 from chaoskit.wick import (
     CovSpec,
     DegreeCapError,
@@ -90,6 +91,12 @@ def test_gaussian_moment_validates():
             GaussianPolynomial.coordinate(cov, index, power)
     with pytest.raises(TypeError):
         GaussianPolynomial.coordinate(cov, 1.0)
+    for terms in ({(1, 0): 1}, {(1, 0, 0, 2): 1}, {(1, -1, 0): 1}):  # arity, sign
+        with pytest.raises(ValueError):
+            GaussianPolynomial(cov, terms)
+    for n, m in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            gaussian_moment_bivariate_conditional(n, m)
     assert GaussianPolynomial.coordinate(cov, 2, 0) == GaussianPolynomial.constant(cov, 1)
 
 
@@ -97,6 +104,13 @@ def test_degree_cap_guard():
     cov = CovSpec.identity(1)
     with pytest.raises(DegreeCapError):
         gaussian_moment((201,), cov)
+    with pytest.raises(DegreeCapError):
+        gaussian_moment_bivariate_conditional(21, 20)
+    f = GaussianPolynomial.coordinate(cov, 0, 21)
+    with pytest.raises(DegreeCapError):
+        expectation_of_product(f, f)
+    with pytest.raises(DegreeCapError):
+        cumulant(GaussianPolynomial.coordinate(cov, 0, 7), 6)
 
 
 def test_three_dimensional_rational_covariance():
@@ -115,6 +129,9 @@ def test_covspec_rejects_asymmetry_and_names_the_entry():
         CovSpec([[1, 0, 0], [0, 1, 5], [0, 4, 1]])
     with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
         CovSpec([[1, 2], [3, 1]])
+    for entries in ([], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="square matrix"):
+            CovSpec(entries)
 
 
 def test_covspec_is_identity():
@@ -379,8 +396,28 @@ def test_moments_of_h5():
         lambda: Tensor(3, 2, {(0, 1.5): 1}),
         lambda: ParamPoly(("rho",), {(2.5,): 1}),
         lambda: GaussianPolynomial(CovSpec.bivariate(), {(1.0, 2): 1}),
+        lambda: CovSpec.identity(2.0),
+        lambda: CovSpec.identity(True),
+        lambda: SymTensor(2, True, {(0,): 1}),
+        lambda: ChaosElement(2, {True: SymTensor(2, 1, {(0,): 1})}),
+        lambda: family_point("dyadic_p2", True),
+        lambda: clt_experiment("dyadic_p2", [True, 4], 1000, seed=1),
+        lambda: ParamPoly(("x",), {(True,): 1}),
     ],
-    ids=["gaussian_moment", "SymTensor", "Tensor", "ParamPoly", "GaussianPolynomial"],
+    ids=[
+        "gaussian_moment",
+        "SymTensor",
+        "Tensor",
+        "ParamPoly",
+        "GaussianPolynomial",
+        "CovSpec.identity-float",
+        "CovSpec.identity-bool",
+        "SymTensor-bool-order",
+        "ChaosElement-bool-order",
+        "family_point-bool",
+        "clt_experiment-bool",
+        "ParamPoly-bool",
+    ],
 )
 def test_non_integer_indices_are_rejected(build):
     with pytest.raises(TypeError):
