@@ -46,12 +46,24 @@ def _as_index(value) -> int:
     return operator.index(value)
 
 
+def _as_indices(values, length: int, bound: int | None = None) -> tuple[int, ...]:
+    """``length`` integers in [0, bound), or >= 0 when ``bound`` is None; bools and
+    non-integers raise TypeError, a wrong length or an entry out of range ValueError."""
+    out = tuple(map(_as_index, values))
+    if len(out) != length:
+        raise ValueError(f"index {out!r} does not have length {length}")
+    hi = math.inf if bound is None else bound
+    if out and (min(out) < 0 or max(out) >= hi):
+        raise ValueError(f"index {out!r} out of range [0, {hi})")
+    return out
+
+
 def double_factorial(n: int) -> int:
     """Product n * (n-2) * ... * 3 * 1 of an odd positive integer.
 
     double_factorial(1) == 1.  Even or non-positive input is rejected.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n % 2 == 0:
+    if _as_index(n) < 1 or n % 2 == 0:
         raise ValueError(f"double factorial needs an odd positive integer, got {n!r}")
     result = 1
     for factor in range(3, n + 1, 2):
@@ -141,7 +153,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if _as_index(exponent) < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = self._coerce(1)
         for _ in range(exponent):
@@ -154,11 +166,7 @@ class SparsePoly:
         coefficients go through ``coerce``, equal keys add, zeros drop."""
         out = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(map(_as_index, exps))
-            if len(exps) != len(names):
-                raise ValueError(f"exponent tuple {exps!r} does not match {names!r}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps!r}")
+            exps = _as_indices(exps, len(names))
             key = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
             value = coerce(coeff)
             existing = out.get(key)
@@ -406,7 +414,8 @@ _HERMITE_COEFFS: list[tuple[Fraction, ...]] = [
 
 def hermite(p: int) -> HermitePoly:
     """The order-``p`` Hermite polynomial via H_{p+1} = x*H_p - p*H_{p-1}."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+    p = _as_index(p)
+    if p < 0:
         raise ValueError(f"order must be a non-negative integer, got {p!r}")
     while len(_HERMITE_COEFFS) <= p:
         k = len(_HERMITE_COEFFS) - 1

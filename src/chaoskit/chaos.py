@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import Monomial, ParamPoly, _as_fraction, _as_index, hermite
+from .algebra import Monomial, ParamPoly, _as_fraction, _as_index, _as_indices, hermite
 from .wick import CovSpec, GaussianPolynomial
 
 __all__ = [
@@ -82,11 +81,7 @@ class SymTensor:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (coeffs or {}).items():
-            idx = tuple(map(operator.index, idx))
-            if len(idx) != order:
-                raise ValueError(f"index {idx!r} does not have order {order}")
-            if any(not 0 <= i < dimension for i in idx):
-                raise ValueError(f"index {idx!r} out of range for dimension {dimension}")
+            idx = _as_indices(idx, order, dimension)
             if list(idx) != sorted(idx):
                 raise ValueError(f"index {idx!r} is not sorted; store orbit values once")
             v = _as_fraction(value)
@@ -174,22 +169,25 @@ class Tensor:
         order: int,
         entries: Mapping[tuple[int, ...], Union[Fraction, int]] | None = None,
     ):
+        order, dimension = _as_index(order), _as_index(dimension)
         if order < 0:
             raise ValueError("order must be non-negative")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (entries or {}).items():
-            idx = tuple(map(operator.index, idx))
-            if len(idx) != order:
-                raise ValueError(f"index {idx!r} does not have order {order}")
-            if idx and (min(idx) < 0 or max(idx) >= dimension):
-                raise ValueError(f"index {idx!r} out of range")
-            if type(value) is not Fraction:
-                value = _as_fraction(value)
+            idx = _as_indices(idx, order, dimension)
+            value = _as_fraction(value)
             if value:
                 cleaned[idx] = value
         self.dimension = dimension
         self.order = order
         self.entries = cleaned
+
+    @classmethod
+    def _of(cls, dimension: int, order: int, entries: dict[tuple[int, ...], Fraction]):
+        """From full-index entries that the package built (not validated)."""
+        tensor = cls.__new__(cls)
+        tensor.dimension, tensor.order, tensor.entries = dimension, order, entries
+        return tensor
 
     def norm_sq(self) -> Fraction:
         return sum((c * c for c in self.entries.values()), Fraction(0))
@@ -236,7 +234,7 @@ def symmetrize(
 def _check_contraction(u: SymTensor, v: SymTensor, r: int) -> None:
     if u.dimension != v.dimension:
         raise ValueError("contraction needs matching dimensions")
-    if not 0 <= r <= min(u.order, v.order):
+    if not 0 <= _as_index(r) <= min(u.order, v.order):
         raise ValueError(f"contraction order r={r} out of range")
 
 
@@ -306,7 +304,7 @@ def contract(u: SymTensor, v: SymTensor, r: int) -> Tensor:
         for head in perms[a]:
             for tail in perms[b]:
                 out[head + tail] = value
-    return Tensor(u.dimension, u.order + v.order - 2 * r, out)
+    return Tensor._of(u.dimension, u.order + v.order - 2 * r, out)
 
 
 def _contraction_norm_sq(u: SymTensor, v: SymTensor, r: int) -> Fraction:

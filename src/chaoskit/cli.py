@@ -21,14 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .algebra import ParamPoly, param_eval
+from .algebra import ParamPoly, _as_index, param_eval
 from .chaos import (
     ChaosElement,
     SymTensor,
@@ -586,8 +585,25 @@ def _emit(report: ExperimentReport, rows: list[Row], config: RunConfig) -> int:
     return EXIT_OK if report.all_pass else EXIT_SUITE_FAILURE
 
 
+def _is_int(value) -> bool:
+    try:
+        _as_index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_config(config: RunConfig) -> None:
-    """Raise ValueError when a setting of ``config`` is out of range."""
+    """Raise TypeError when a setting of ``config`` has the wrong type, else
+    ValueError when one is out of range."""
+    for name in ("seed", "samples", "pairs", "grid_points"):
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(config.n_grid, list) or not all(map(_is_int, config.n_grid)):
+        raise TypeError(f"n_grid must be a list of integers, got {config.n_grid!r}")
+    if config.output_path is not None and not isinstance(config.output_path, str):
+        raise TypeError(f"output_path must be a string, got {config.output_path!r}")
     if not 0 <= config.seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     if config.format not in ("csv", "json"):
@@ -642,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--output", type=str, default=None, help="report path")
+        p.add_argument("--output", dest="output_path", default=None, help="report path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         if name == "clt":
             p.add_argument("--family", choices=FAMILY_NAMES, default=None)
@@ -665,58 +681,26 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error(f"cannot read config file {args.config!r}: {exc}")
         if not isinstance(file_values, dict):
             parser.error("config file must hold a JSON object")
+        known = {f.name for f in fields(RunConfig)} - {"command"}
+        unknown = sorted(set(file_values) - known)
+        if unknown:
+            parser.error(f"unknown config keys: {', '.join(unknown)}")
 
-    defaults = RunConfig(args.command)
+    config = RunConfig(args.command)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            defaults.seed = int(env_seed)
+            config.seed = int(env_seed)
         except ValueError:
             parser.error(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-
-    def pick(file_key: str, flag_name: str | None = None):
-        value = getattr(args, flag_name or file_key, None)
-        if value is not None:
-            return value
-        return file_values.get(file_key, getattr(defaults, file_key))
-
-    def as_int(value, message: str) -> int:
-        # JSON floats and booleans are rejected, not truncated
-        if not isinstance(value, bool):
-            try:
-                return operator.index(value)
-            except TypeError:
-                pass
-        parser.error(message)
-
-    def integer(file_key: str) -> int:
-        value = pick(file_key)
-        return as_int(value, f"{file_key} must be an integer, got {value!r}")
-
-    n_grid = pick("n_grid")
-    bad_grid = f"n_grid must be a list of integers, got {n_grid!r}"
-    if not isinstance(n_grid, list):
-        parser.error(bad_grid)
-    n_grid = [as_int(n, bad_grid) for n in n_grid]
-    output_path = pick("output_path", "output")
-    if output_path is not None and not isinstance(output_path, str):
-        parser.error(f"output_path must be a string, got {output_path!r}")
-
-    config = RunConfig(
-        command=args.command,
-        seed=integer("seed"),
-        n_grid=n_grid,
-        samples=integer("samples"),
-        output_path=output_path,
-        format=pick("format"),
-        family=pick("family"),
-        pairs=integer("pairs"),
-        grid_points=integer("grid_points"),
-    )
-
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            value = file_values.get(f.name, getattr(config, f.name))
+        setattr(config, f.name, value)
     try:
         _check_config(config)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     return config
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ParamPoly, param_eval, real_roots
+from .algebra import ParamPoly, _as_index, param_eval, real_roots
 from .wick import CovSpec, GaussianPolynomial, cumulant, expectation, expectation_of_product
 
 __all__ = [
@@ -183,7 +183,7 @@ class PositivityCertificate:
 
 
 def h1h5_positivity_certificate(grid_points: int = 201) -> PositivityCertificate:
-    if grid_points < 2:
+    if _as_index(grid_points) < 2:
         raise ValueError("grid needs at least 2 points per axis")
     k4 = kappa4_h1h5()
 

@@ -229,7 +229,7 @@ def _chunk_rows(dimension: int) -> int:
 def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
     """Fill ``buf`` (rows x dimension) with chunk ``chunk_index``'s normals."""
     import numpy as np
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.Philox(ss))
     # random() is k * 2**-53 with k = (next 64 bits) >> 11, the k of
     # integers(0, 2**53); adding 2**-54 rounds exactly as (k + 0.5) * 2**-53.
@@ -261,6 +261,7 @@ def sample_gaussian_polynomial(
     each in the same chunk-sized buffer.
     """
     import numpy as np
+    n, seed = _as_index(n), _as_index(seed)
     if n < 1:
         raise ValueError("need at least one sample")
     d = f.cov.dimension
@@ -288,7 +289,7 @@ def sample_gaussian_polynomial(
                 term *= col if e == 1 else col**e
             acc += term
         out[start:stop] = acc
-    return SampleSet(values=out, seed=int(seed))
+    return SampleSet(values=out, seed=seed)
 
 
 def sample_chaos(X: ChaosElement, n: int, seed: int) -> SampleSet:
@@ -513,7 +514,7 @@ def _point_seed(seed: int, family: str, n: int) -> int:
     """Derived per-point seed: hash of (seed, family index, n) via SeedSequence."""
     import numpy as np
     fam_index = FAMILY_NAMES.index(family)
-    ss = np.random.SeedSequence(entropy=(int(seed), fam_index, int(n)))
+    ss = np.random.SeedSequence(entropy=(seed, fam_index, n))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -541,7 +542,7 @@ def clt_experiment(
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    n_grid = [_as_index(n) for n in n_grid]
+    n_grid, seed = [_as_index(n) for n in n_grid], _as_index(seed)
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be nonempty and strictly increasing")
     m = _as_index(samples_per_point)
@@ -556,7 +557,7 @@ def clt_experiment(
             "family": family,
             "n_grid": list(n_grid),
             "samples_per_point": m,
-            "seed": int(seed),
+            "seed": seed,
             "generator_id": GENERATOR_ID,
             "error_band": band,
             "band_formula": "log(m)/sqrt(m)",

@@ -12,11 +12,12 @@ separate so they can check each other:
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import Monomial, ParamPoly, SparsePoly, _as_index, _merge, double_factorial
+from .algebra import (
+    Monomial, ParamPoly, SparsePoly, _as_index, _as_indices, _merge, double_factorial
+)
 
 __all__ = [
     "DEGREE_CAP",
@@ -227,13 +228,7 @@ def gaussian_moment(multidegree: Sequence[int], cov: CovSpec) -> ParamPoly:
     under the identity, a product of 1-D moments.  Zero whenever the total
     degree is odd.
     """
-    md = tuple(map(operator.index, multidegree))
-    if len(md) != cov.dimension:
-        raise ValueError(
-            f"multidegree length {len(md)} does not match dimension {cov.dimension}"
-        )
-    if any(e < 0 for e in md):
-        raise ValueError("multidegree entries must be non-negative")
+    md = _as_indices(multidegree, cov.dimension)
     if sum(md) > DEGREE_CAP:
         raise DegreeCapError(f"total degree {sum(md)} exceeds cap {DEGREE_CAP}")
     return _moment(cov, tuple((i, e) for i, e in enumerate(md) if e))
@@ -247,7 +242,7 @@ def gaussian_moment_bivariate_conditional(n: int, m: int) -> ParamPoly:
     contribute, so the answer is an exact polynomial in rho.  Independent of
     the pairing recursion used by :func:`gaussian_moment`.
     """
-    if n < 0 or m < 0:
+    if _as_index(n) < 0 or _as_index(m) < 0:
         raise ValueError("powers must be non-negative")
     if n + m > DEGREE_CAP:
         raise DegreeCapError(f"total degree {n + m} exceeds cap {DEGREE_CAP}")
@@ -320,15 +315,13 @@ class GaussianPolynomial(SparsePoly):
 
     @classmethod
     def coordinate(cls, cov: CovSpec, index: int, power: int = 1) -> "GaussianPolynomial":
-        index, power = operator.index(index), operator.index(power)
+        index, power = _as_index(index), _as_index(power)
         if not 0 <= index < cov.dimension or power < 0:
             raise ValueError(
                 f"coordinate {index} to power {power} is outside dimension "
                 f"{cov.dimension} or negative"
             )
-        exps = [0] * cov.dimension
-        exps[index] = power
-        return cls(cov, {tuple(exps): 1})
+        return cls._of(cov, {((index, power),) if power else (): ParamPoly.constant(1)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianPolynomial):
@@ -390,7 +383,7 @@ def cumulant(f: GaussianPolynomial, order: int) -> ParamPoly:
     kappa_n = mu_n - sum_{k<n} C(n-1, k-1) * kappa_k * mu_{n-k};
     order 4 therefore equals E[(f - Ef)^4] - 3 E[(f - Ef)^2]^2.
     """
-    if not isinstance(order, int) or not 1 <= order <= 6:
+    if not 1 <= _as_index(order) <= 6:
         raise ValueError(f"cumulant order must be in 1..6, got {order!r}")
     degree = f.degree()
     if order * max(degree, 1) > DEGREE_CAP:

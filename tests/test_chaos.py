@@ -207,6 +207,7 @@ def test_contract_sym_matches_symmetrized_contract():
     for a, b in pairs:
         for r in range(min(a.order, b.order) + 1):
             full = contract(a, b, r)
+            assert_valid_tensor(full)
             assert full.entries == brute_force_contract(a, b, r)
             assert contract_sym(a, b, r) == symmetrize(full)
             assert _contraction_norm_sq(a, b, r) == full.norm_sq()
@@ -220,7 +221,15 @@ def test_block_contraction_norms_on_the_bound_corpora():
         kernels += family_point("dyadic_p2", n).scaled.element.components.values()
     for u in kernels:
         for r in range(1, u.order):
-            assert _contraction_norm_sq(u, u, r) == contract(u, u, r).norm_sq()
+            full = contract(u, u, r)
+            assert_valid_tensor(full)
+            assert _contraction_norm_sq(u, u, r) == full.norm_sq()
+
+
+def assert_valid_tensor(t: Tensor) -> None:
+    """contract builds its Tensor unchecked; the checked constructor must agree."""
+    assert Tensor(t.dimension, t.order, t.entries).entries == t.entries
+    assert all(type(c) is Fraction and c for c in t.entries.values())
 
 
 def brute_force_contract(u, v, r):

@@ -245,6 +245,20 @@ def test_run_rejects_bad_config_and_writes_nothing(tmp_path, changes, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [{"seed": 1.5}, {"pairs": 2.5}, {"n_grid": [4.0]}, {"output_path": 5}],
+)
+def test_run_rejects_mistyped_config_and_writes_nothing(tmp_path, monkeypatch, changes):
+    monkeypatch.chdir(tmp_path)
+    config = dataclasses.replace(
+        RunConfig("lemma-suite", pairs=2, output_path="report.out"), **changes
+    )
+    with pytest.raises(TypeError, match="must be"):
+        run(config)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_failure_exit_code(tmp_path, capsys):
     report = ExperimentReport(name="synthetic")
     report.parameters["tolerance.broken"] = "exact"
@@ -417,6 +431,23 @@ def test_config_file_bad_values_exit_2(tmp_path, capsys, values, message):
     config_path.write_text(json.dumps(values))
     assert run_main(["clt", "--config", str(config_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values,keys",
+    [
+        ({"pair": 3}, "pair"),
+        ({"command": "clt", "pairs": 3}, "command"),
+        ({"seeds": 1, "output": "x.csv"}, "output, seeds"),
+    ],
+)
+def test_config_file_unknown_keys_exit_2(tmp_path, monkeypatch, capsys, values, keys):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "conf.json"
+    config_path.write_text(json.dumps(values))
+    assert run_main(["lemma-suite", "--pairs", "2", "--config", str(config_path)]) == 2
+    assert f"unknown config keys: {keys}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 @pytest.mark.parametrize("where", ["missing_dir/r.csv", "."])

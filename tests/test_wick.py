@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from chaoskit import wick
 from chaoskit.algebra import ParamPoly, double_factorial, param_eval
-from chaoskit.chaos import ChaosElement, SymTensor, Tensor, multiple_integral
-from chaoskit.montecarlo import clt_experiment, family_point
+from chaoskit.chaos import ChaosElement, SymTensor, Tensor, contract, multiple_integral
+from chaoskit.counterexamples import h1h5_positivity_certificate
+from chaoskit.montecarlo import clt_experiment, family_point, sample_gaussian_polynomial
 from chaoskit.wick import (
     CovSpec,
     DegreeCapError,
@@ -388,6 +389,14 @@ def test_moments_of_h5():
     assert cumulant(h5, 4).constant_value() == 67003200 - 3 * 120**2
 
 
+def _x0() -> GaussianPolynomial:
+    return GaussianPolynomial.coordinate(CovSpec.identity(1), 0)
+
+
+def _u() -> SymTensor:
+    return SymTensor(2, 1, {(0,): 1})
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -403,6 +412,18 @@ def test_moments_of_h5():
         lambda: family_point("dyadic_p2", True),
         lambda: clt_experiment("dyadic_p2", [True, 4], 1000, seed=1),
         lambda: ParamPoly(("x",), {(True,): 1}),
+        lambda: GaussianPolynomial.coordinate(CovSpec.identity(2), True),
+        lambda: gaussian_moment((True, True), CovSpec.bivariate()),
+        lambda: SymTensor(2, 1, {(True,): 1}),
+        lambda: Tensor(2.5, 1, {}),
+        lambda: Tensor(2, True, {(1,): 1}),
+        lambda: cumulant(_x0(), True),
+        lambda: _x0() ** True,
+        lambda: gaussian_moment_bivariate_conditional(True, 1),
+        lambda: contract(_u(), _u(), True),
+        lambda: h1h5_positivity_certificate(3.0),
+        lambda: sample_gaussian_polynomial(_x0(), 5, 1.5),
+        lambda: clt_experiment("dyadic_p2", [4], 200, 1.5),
     ],
     ids=[
         "gaussian_moment",
@@ -417,6 +438,18 @@ def test_moments_of_h5():
         "family_point-bool",
         "clt_experiment-bool",
         "ParamPoly-bool",
+        "coordinate-bool",
+        "gaussian_moment-bool",
+        "SymTensor-bool-index",
+        "Tensor-float-dimension",
+        "Tensor-bool-order",
+        "cumulant-bool-order",
+        "pow-bool",
+        "conditional-bool",
+        "contract-bool-r",
+        "positivity-float-grid",
+        "sample-float-seed",
+        "clt_experiment-float-seed",
     ],
 )
 def test_non_integer_indices_are_rejected(build):
