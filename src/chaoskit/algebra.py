@@ -49,7 +49,10 @@ def _as_index(value) -> int:
 def _as_indices(values, length: int, bound: int | None = None) -> tuple[int, ...]:
     """``length`` integers in [0, bound), or >= 0 when ``bound`` is None; bools and
     non-integers raise TypeError, a wrong length or an entry out of range ValueError."""
-    out = tuple(map(_as_index, values))
+    values = tuple(values)
+    if bool in map(type, values):  # the first bool raises _as_index's TypeError
+        _as_index(next(v for v in values if type(v) is bool))
+    out = tuple(map(operator.index, values))
     if len(out) != length:
         raise ValueError(f"index {out!r} does not have length {length}")
     hi = math.inf if bound is None else bound

@@ -172,6 +172,8 @@ class Tensor:
         order, dimension = _as_index(order), _as_index(dimension)
         if order < 0:
             raise ValueError("order must be non-negative")
+        if dimension < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, value in (entries or {}).items():
             idx = _as_indices(idx, order, dimension)

@@ -4,11 +4,15 @@ Randomness contract
 -------------------
 All sampling is driven by numpy's Philox counter-based generator.  Draws are
 partitioned into chunks of ``max(1, 2**21 // dimension)`` rows; chunk ``c`` of
-a run with seed ``s`` uses ``SeedSequence(entropy=s, spawn_key=(c,))``, so the
-sample stream is a pure function of (seed, size, dimension).  Chunks run one
-after another in stream order, each drawing, transforming and evaluating
-inside one caller-allocated buffer that holds one chunk: 2**21 values at
-most, unless a single row is wider.
+a run with seed ``s`` uses ``SeedSequence(entropy=s, spawn_key=(c,))``, so
+each chunk is a pure function of (seed, chunk, dimension) and the sample
+stream one of (seed, size, dimension).  One function,
+``_chunk_values``, draws, transforms and evaluates a chunk in a buffer of
+2**21 values at most, unless a single row is wider.  With two or more chunks
+and two or more CPUs, the chunks of a call run on forked worker processes
+(threads would serialize on the GIL, which the sliced quantile hands over on
+every slice); otherwise they run inline.  Either way each chunk's values land
+at the chunk's own offset, so the stream does not depend on how it ran.
 Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers k, with the
 one value that rounds up to 1.0 (k = 2**53 - 1) clamped to 1 - 2**-53, so every
 uniform lies in (0, 1).  Standard normals are obtained by inverse transform
@@ -23,15 +27,17 @@ lexicographic order of their dense exponent vectors, which ``_dense_order``
 gives on the sparse monomial keys.  Reports are therefore byte-identical
 across runs with the same seed.
 
-Each function that samples or estimates imports numpy itself, and
-``normal_cdf`` imports ``scipy.special``, so importing this module (and with
-it the package and its exact commands) loads neither.
+Each function that samples or estimates imports numpy itself, sampling
+imports ``multiprocessing`` and ``normal_cdf`` imports ``scipy.special``, so
+importing this module (and with it the package and its exact commands) loads
+none of them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -226,6 +232,14 @@ def _chunk_rows(dimension: int) -> int:
     return max(1, (1 << 21) // dimension)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
     """Fill ``buf`` (rows x dimension) with chunk ``chunk_index``'s normals."""
     import numpy as np
@@ -246,6 +260,51 @@ def _dense_order(key: Monomial) -> tuple[int, ...]:
     return tuple(x for i, e in key for x in (-i, e))
 
 
+def _chunk_values(task: tuple[int, int], job: tuple | None = None) -> np.ndarray:
+    """The functional on chunk ``task`` = (chunk, rows) of ``job`` = (seed,
+    dimension, Cholesky factor or None, terms in ``_dense_order``), or of the
+    job a pool worker was started with."""
+    import numpy as np
+    seed, d, factor, terms = _worker_job if job is None else job
+    chunk, rows = task
+    z = _normal_chunk(seed, chunk, np.empty((rows, d)))
+    x = z if factor is None else z @ factor.T
+    acc = np.zeros(rows)
+    for support, value in terms:
+        term = np.full(rows, value)
+        for i, e in support:
+            col = x[:, i]
+            term *= col if e == 1 else col**e
+        acc += term
+    return acc
+
+
+_worker_job = None  # set only in pool workers, by _start_worker before their first task
+
+
+def _start_worker(job: tuple) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _chunks_in_order(job: tuple, tasks: list[tuple[int, int]]):
+    """The tasks' chunk values, in task order: on forked workers, one per CPU
+    and at most one per chunk, when there are two or more of each; else
+    inline.  The pool is joined when the generator finishes."""
+    import multiprocessing
+    workers = min(_available_cpus(), len(tasks))
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        yield from map(functools.partial(_chunk_values, job=job), tasks)
+        return
+    # the job reaches the workers through the fork, not through a pickle
+    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,)) as pool:
+        yield from pool.imap(_chunk_values, tasks)
+
+
 def sample_gaussian_polynomial(
     f: GaussianPolynomial,
     n: int,
@@ -257,16 +316,18 @@ def sample_gaussian_polynomial(
     Coordinates are sampled as i.i.d. standard normals and, when the
     covariance is not the identity, pushed through its (pivoted) Cholesky
     factor evaluated at ``assignment``.  Term coefficients must be numeric
-    after the same assignment.  Chunks run one after another in stream order,
-    each in the same chunk-sized buffer.
+    after the same assignment.  With two or more chunks and two or more CPUs
+    in the affinity set, the chunks run on forked worker processes, one per
+    CPU and at most one per chunk, which are joined before this returns;
+    otherwise they run inline, one after another.  Each chunk's values are
+    written at its own offset, so the result does not depend on the path.
     """
     import numpy as np
     n, seed = _as_index(n), _as_index(seed)
     if n < 1:
         raise ValueError("need at least one sample")
     d = f.cov.dimension
-    identity = f.cov.is_identity
-    factor = None if identity else np.asarray(f.cov.cholesky_factor(assignment))
+    factor = None if f.cov.is_identity else np.asarray(f.cov.cholesky_factor(assignment))
 
     assignment = dict(assignment or {})
     terms = [
@@ -274,21 +335,12 @@ def sample_gaussian_polynomial(
         for key in sorted(f.terms, key=_dense_order)
     ]
 
-    out = np.empty(n, dtype=np.float64)
     rows = _chunk_rows(d)
-    buf = np.empty(min(rows, n) * d)
-    for chunk, start in enumerate(range(0, n, rows)):
-        stop = min(start + rows, n)
-        z = _normal_chunk(seed, chunk, buf[: (stop - start) * d].reshape(-1, d))
-        x = z if factor is None else z @ factor.T
-        acc = np.zeros(stop - start, dtype=np.float64)
-        for support, value in terms:
-            term = np.full(stop - start, value)
-            for i, e in support:
-                col = x[:, i]
-                term *= col if e == 1 else col**e
-            acc += term
-        out[start:stop] = acc
+    tasks = [(c, min(rows, n - start)) for c, start in enumerate(range(0, n, rows))]
+    out = np.empty(n, dtype=np.float64)
+    job = (seed, d, factor, terms)
+    for chunk, values in enumerate(_chunks_in_order(job, tasks)):
+        out[chunk * rows : chunk * rows + values.size] = values
     return SampleSet(values=out, seed=seed)
 
 

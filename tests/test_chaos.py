@@ -88,6 +88,9 @@ def test_tensor_validation():
         Tensor(3, 2, {(0,): 1})  # wrong arity
     with pytest.raises(ValueError):
         Tensor(3, -1, {})
+    for dimension, order, entries in ((-3, 0, {(): 1}), (0, 2, {})):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            Tensor(dimension, order, entries)
     with pytest.raises(TypeError):
         Tensor(3, 1, {(0,): 0.5})  # not an exact rational
 

@@ -3,6 +3,7 @@ families, and the simulation experiment driver."""
 
 import hashlib
 import math
+import multiprocessing
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoskit import montecarlo
+from chaoskit.algebra import ParamPoly
 from chaoskit.chaos import ChaosElement, SymTensor, gamma_variance, kappa4_exact
 from chaoskit.montecarlo import (
     FAMILY_NAMES,
@@ -253,20 +255,100 @@ def test_largest_draw_gives_a_finite_normal(monkeypatch):
     assert np.all(z == normal_quantile(np.nextafter(1.0, 0.0)))
 
 
-def test_sampling_holds_one_chunk_buffer():
-    # 3 chunks of 2^21 // 64 rows, run one after another: each draws,
-    # transforms and evaluates inside the one 2^21-value buffer made by the
-    # caller, so peak allocation is one chunk buffer plus row-sized arrays
+def _peak_traced_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_holds_one_chunk_buffer(monkeypatch):
+    # 3 chunks of 2^21 // 64 rows.  With one CPU they run inline, one after
+    # another, each drawing, transforming and evaluating in one 2^21-value
+    # buffer that is freed before the next: peak allocation is one chunk
+    # buffer plus row-sized arrays (and reaching one buffer shows that no
+    # pool ran).  With two CPUs they run in forked workers, and the parent
+    # allocates only the output and the row-sized chunk results.
     cov = CovSpec.identity(64)
     f = GaussianPolynomial(cov, {(1, 1) + (0,) * 62: 1, (0, 0, 2) + (0,) * 61: 1})
     chunk_bytes = (1 << 21) * 8
-    tracemalloc.start()
-    try:
-        sample_gaussian_polynomial(f, 3 * (1 << 15), seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert chunk_bytes <= peak < chunk_bytes + (1 << 22)
+    n = 3 * (1 << 15)
+    for cpus in (1, 2):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        peak = _peak_traced_bytes(lambda: sample_gaussian_polynomial(f, n, seed=5))
+        if cpus == 1:
+            assert chunk_bytes <= peak < chunk_bytes + (1 << 22)
+        else:
+            assert peak < 4 * n * 8 < chunk_bytes
+
+
+def _correlated_cov(rho) -> CovSpec:
+    entries = [[Fraction(int(i == j)) for j in range(40)] for i in range(40)]
+    entries[0][1] = entries[1][0] = rho
+    return CovSpec(entries)
+
+
+def test_worker_count_does_not_change_bits(monkeypatch):
+    # 8 chunks of an identity covariance, then 3 chunks through a Cholesky
+    # factor, numeric and symbolic; every worker count gives the same bytes
+    rho = ParamPoly.variable("rho")
+    dyadic = family_point("dyadic_p2", 512).scaled.element.compile()
+    numeric = GaussianPolynomial(
+        _correlated_cov(Fraction(1, 2)), {(1,) * 40: 1, (2,) + (0,) * 39: Fraction(1, 3)}
+    )
+    symbolic = GaussianPolynomial(
+        _correlated_cov(rho), {(1, 1) + (0,) * 38: 1, (0, 0, 2) + (0,) * 37: rho}
+    )
+    cases = (
+        (dyadic, 1 << 14, None),
+        (numeric, 150_000, None),
+        (symbolic, 150_000, {"rho": -0.3}),
+    )
+    digests = []
+    for f, n, assignment in cases:
+        runs = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+            values = sample_gaussian_polynomial(f, n, seed=42, assignment=assignment).values
+            runs.add(_sha256(values))
+        assert len(runs) == 1
+        digests.append(runs.pop())
+    assert digests[0] == V1_DYADIC_512_SHA256
+
+
+def test_sampling_leaves_no_worker_processes(monkeypatch):
+    cov = CovSpec.identity(64)
+    f = GaussianPolynomial(cov, {(1, 1) + (0,) * 62: 1})
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    sample_gaussian_polynomial(f, 5 * (1 << 15), seed=5)
+    assert multiprocessing.active_children() == []
+
+    normal_chunk = montecarlo._normal_chunk
+
+    def fail_in_chunk_3(seed, chunk, buf):
+        if chunk == 3:
+            raise ArithmeticError("chunk 3")
+        return normal_chunk(seed, chunk, buf)
+
+    monkeypatch.setattr(montecarlo, "_normal_chunk", fail_in_chunk_3)
+    with pytest.raises(ArithmeticError, match="chunk 3"):
+        sample_gaussian_polynomial(f, 5 * (1 << 15), seed=5)
+    assert multiprocessing.active_children() == []
+
+
+def _dyadic_512_digest(seed: int) -> str:
+    element = family_point("dyadic_p2", 512).scaled.element
+    return _sha256(sample_chaos(element, 1 << 14, seed=seed).values)
+
+
+def test_daemonic_worker_samples_inline():
+    # pool workers may not fork workers of their own: inside one, the
+    # 8 chunks run inline and give the recorded bytes
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        digest = pool.apply_async(_dyadic_512_digest, (42,)).get(timeout=120)
+    assert digest == V1_DYADIC_512_SHA256
 
 
 def test_h2_sample_mean_band():

@@ -455,3 +455,14 @@ def _u() -> SymTensor:
 def test_non_integer_indices_are_rejected(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_index_errors_keep_their_messages():
+    with pytest.raises(TypeError, match=r"^integer expected, got False$"):
+        SymTensor(3, 2, {(0, False): 1})
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        Tensor(3, 2, {(0, 1.5): 1})
+    with pytest.raises(ValueError, match=r"^index \(0, 3\) out of range \[0, 3\)$"):
+        Tensor(3, 2, {(0, 3): 1})
+    with pytest.raises(ValueError, match=r"^index \(0,\) does not have length 2$"):
+        gaussian_moment([0], CovSpec.bivariate())
