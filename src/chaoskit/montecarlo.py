@@ -7,11 +7,17 @@ partitioned into chunks of ``max(1, 2**21 // dimension)`` rows; chunk ``c`` of
 a run with seed ``s`` uses ``SeedSequence(entropy=s, spawn_key=(c,))``, so
 each chunk is a pure function of (seed, chunk, dimension) and the sample
 stream one of (seed, size, dimension).  One function,
-``_chunk_values``, draws, transforms and evaluates a chunk in a buffer of
-2**21 values at most, unless a single row is wider.  With two or more chunks
-and two or more CPUs, the chunks of a call run on forked worker processes
-(threads would serialize on the GIL, which the sliced quantile hands over on
-every slice); otherwise they run inline.  Either way each chunk's values land
+``_chunk_values``, draws, transforms and evaluates a chunk in blocks of
+``max(1, 2**14 // dimension)`` rows, continuing the chunk's generator from
+block to block, so a process holds one chunk's results and a few blocks of
+about 2**14 values, not the chunk's 2**21 draws.  The counter-based stream,
+the quantile and the term products work elementwise, so the blocks change
+no bit; BLAS does not (it rounds a product by its shape), so a covariance
+that is not the identity draws and pushes each chunk whole and only sums its
+terms in blocks.  With two or more chunks and two or more CPUs, the
+chunks of a call run on forked worker processes (threads would serialize on
+the GIL, which the sliced quantile hands over on every slice); otherwise
+they run inline.  Either way each chunk's values land
 at the chunk's own offset, so the stream does not depend on how it ran.
 Uniforms are built as ``(k + 0.5) * 2**-53`` from 53-bit integers k, with the
 one value that rounds up to 1.0 (k = 2**53 - 1) clamped to 1 - 2**-53, so every
@@ -138,16 +144,17 @@ def _ratpoly(r: np.ndarray, num: tuple, den: tuple, p=None, q=None) -> np.ndarra
 
 
 def _tail_quantile(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quantile at the entries with |p - 0.5| > 0.425 (or NaN); q = p - 0.5."""
+    """Quantile at the entries with |p - 0.5| > 0.425; q = p - 0.5."""
     import numpy as np
     pt = np.where(q < 0.0, p, 1.0 - p)
     r = np.sqrt(-np.log(pt))
-    # the far tail (r > 5, and NaN) is rare: evaluate each branch only where it applies
+    # the far tail (r > 5) is rare: evaluate each branch only where it applies
     near = r <= 5.0
     far = ~near
     val = np.empty_like(r)
     val[near] = _ratpoly(r[near] - 1.6, _QUANT_C, _QUANT_D)
-    val[far] = _ratpoly(r[far] - 5.0, _QUANT_E, _QUANT_F)
+    if far.any():  # r > 5 needs p < e**-25
+        val[far] = _ratpoly(r[far] - 5.0, _QUANT_E, _QUANT_F)
     return np.where(q < 0.0, -val, val)
 
 
@@ -156,7 +163,8 @@ def normal_quantile(p, out=None):
 
     Rational minimax approximation in three regions (central, moderate tail,
     far tail); absolute error below 1e-9 everywhere, which the test suite
-    checks against an independent implementation.
+    checks against an independent implementation.  An argument outside
+    (0, 1), NaN included, raises ValueError.
 
     ``out``, when given, is a C-contiguous float64 array of the shape of
     ``p`` that receives the result and is returned; it may be ``p`` itself,
@@ -185,10 +193,10 @@ def normal_quantile(p, out=None):
     for start in range(0, flat.size, _SLICE):
         ps = flat[start : start + _SLICE]
         k = ps.size
-        if np.any((ps <= 0.0) | (ps >= 1.0)):
+        if not np.all((ps > 0.0) & (ps < 1.0)):  # NaN fails too
             raise ValueError("quantile argument must lie strictly inside (0, 1)")
         qs = np.subtract(ps, 0.5, out=q[:k])
-        tail = np.flatnonzero(~(np.abs(qs) <= 0.425))
+        tail = np.flatnonzero(np.abs(qs) > 0.425)
         if tail.size:
             tail_values = _tail_quantile(ps[tail], qs[tail])
         rs = np.multiply(qs, qs, out=r[:k])
@@ -240,18 +248,24 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _normal_chunk(seed: int, chunk_index: int, buf: np.ndarray) -> np.ndarray:
-    """Fill ``buf`` (rows x dimension) with chunk ``chunk_index``'s normals."""
+def _normal_blocks(seed: int, chunk: int, rows: int, buf: np.ndarray):
+    """Chunk ``chunk``'s ``rows`` rows of standard normals, drawn into ``buf``
+    (block rows x dimension) one block after another; yields (first row, block).
+
+    The chunk's one Philox generator is continued from block to block, so the
+    normals do not depend on the block size."""
     import numpy as np
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
     gen = np.random.Generator(np.random.Philox(ss))
-    # random() is k * 2**-53 with k = (next 64 bits) >> 11, the k of
-    # integers(0, 2**53); adding 2**-54 rounds exactly as (k + 0.5) * 2**-53.
-    # At k = 2**53 - 1 that rounds up to 1.0; the clamp maps it to 1 - 2**-53.
-    gen.random(out=buf)
-    buf += 2.0**-54
-    np.minimum(buf, np.nextafter(1.0, 0.0), out=buf)
-    return normal_quantile(buf, out=buf)
+    for start in range(0, rows, buf.shape[0]):
+        z = buf[: rows - start]
+        # random() is k * 2**-53 with k = (next 64 bits) >> 11, the k of
+        # integers(0, 2**53); adding 2**-54 rounds exactly as (k + 0.5) * 2**-53.
+        # At k = 2**53 - 1 that rounds up to 1.0; the clamp maps it to 1 - 2**-53.
+        gen.random(out=z)
+        z += 2.0**-54
+        np.minimum(z, np.nextafter(1.0, 0.0), out=z)
+        yield start, normal_quantile(z, out=z)
 
 
 def _dense_order(key: Monomial) -> tuple[int, ...]:
@@ -260,23 +274,87 @@ def _dense_order(key: Monomial) -> tuple[int, ...]:
     return tuple(x for i, e in key for x in (-i, e))
 
 
+def _term_plan(terms: list, d: int, block: int) -> tuple:
+    """The sum of ``terms`` ((support, value) in ``_dense_order``, on ``d``
+    coordinates) planned for blocks of ``block`` rows: (exponents, windows).
+
+    Row ``slot * d + i`` of a block's power table holds x_i**exponents[slot],
+    and its last row holds 1.0.  A window is the next ``max(1, _SLICE //
+    block - 1)`` terms at most, so that its scratch holds about ``_SLICE``
+    values, as (table rows: factors x terms, values: terms x 1).  A term with
+    fewer factors than the longest is padded with the row of ones, and
+    multiplying by 1.0 is exact."""
+    import numpy as np
+    exponents = sorted({e for support, _ in terms for _, e in support})
+    slot = {e: s for s, e in enumerate(exponents)}
+    ones = len(exponents) * d
+    k = max((len(support) for support, _ in terms), default=0)
+    width = max(1, _SLICE // block - 1)
+    windows = []
+    for start in range(0, len(terms), width):
+        window = terms[start : start + width]
+        factors = [
+            [slot[e] * d + i for i, e in support] + [ones] * (k - len(support))
+            for support, _ in window
+        ]
+        windows.append((
+            np.array(factors, dtype=np.intp).reshape(len(window), k).T,
+            np.array([value for _, value in window])[:, None],
+        ))
+    return exponents, windows
+
+
+def _sum_terms(x: np.ndarray, plan: tuple, scratch: np.ndarray) -> np.ndarray:
+    """The planned term sum at each row of ``x``, in a row of ``scratch``.
+
+    Each term is value x factor_1 x factor_2 ... in support order, and the
+    terms are added one after another, from 0.0, in plan order: down the
+    window's scratch rows, whose row 0 holds the running sum.  (np.add.reduce
+    may sum pairwise, and so round differently.)"""
+    import numpy as np
+    exponents, windows = plan
+    b, d = x.shape
+    table = np.empty((len(exponents) * d + 1, b))
+    for slot, e in enumerate(exponents):
+        table[slot * d : (slot + 1) * d] = x.T if e == 1 else x.T**e
+    table[-1] = 1.0
+    s = scratch[:, :b]
+    s[0] = 0.0
+    for factors, values in windows:
+        count = len(values)
+        terms = s[1 : count + 1]
+        terms[...] = values
+        for factor in factors:
+            terms *= table[factor]
+        if 16 * count < b:
+            # accumulate makes one C call per row: on a short window of many
+            # rows, one add per term is cheaper and adds in the same order
+            for term in terms:
+                np.add(s[0], term, out=s[0])
+        else:
+            np.add.accumulate(s[: count + 1], axis=0, out=s[: count + 1])
+            s[0] = s[count]
+    return s[0]
+
+
 def _chunk_values(task: tuple[int, int], job: tuple | None = None) -> np.ndarray:
     """The functional on chunk ``task`` = (chunk, rows) of ``job`` = (seed,
-    dimension, Cholesky factor or None, terms in ``_dense_order``), or of the
-    job a pool worker was started with."""
+    dimension, Cholesky factor or None, block rows, term plan), or of the job
+    a pool worker was started with, computed one block of rows at a time."""
     import numpy as np
-    seed, d, factor, terms = _worker_job if job is None else job
+    seed, d, factor, block, plan = _worker_job if job is None else job
     chunk, rows = task
-    z = _normal_chunk(seed, chunk, np.empty((rows, d)))
-    x = z if factor is None else z @ factor.T
-    acc = np.zeros(rows)
-    for support, value in terms:
-        term = np.full(rows, value)
-        for i, e in support:
-            col = x[:, i]
-            term *= col if e == 1 else col**e
-        acc += term
-    return acc
+    block = min(block, rows)
+    # BLAS rounds z @ factor.T by the shape it is given, so a correlated
+    # chunk is drawn and pushed whole, then summed in blocks like the rest
+    draw = rows if factor is not None else block
+    scratch = np.empty((1 + max((len(values) for _, values in plan[1]), default=0), block))
+    values = np.empty(rows)
+    for start, z in _normal_blocks(seed, chunk, rows, np.empty((draw, d))):
+        x = z if factor is None else z @ factor.T
+        for i in range(0, x.shape[0], block):
+            values[start + i : start + i + block] = _sum_terms(x[i : i + block], plan, scratch)
+    return values
 
 
 _worker_job = None  # set only in pool workers, by _start_worker before their first task
@@ -316,11 +394,18 @@ def sample_gaussian_polynomial(
     Coordinates are sampled as i.i.d. standard normals and, when the
     covariance is not the identity, pushed through its (pivoted) Cholesky
     factor evaluated at ``assignment``.  Term coefficients must be numeric
-    after the same assignment.  With two or more chunks and two or more CPUs
-    in the affinity set, the chunks run on forked worker processes, one per
-    CPU and at most one per chunk, which are joined before this returns;
-    otherwise they run inline, one after another.  Each chunk's values are
-    written at its own offset, so the result does not depend on the path.
+    after the same assignment.
+
+    The terms become a plan, built once here, and each chunk is drawn and
+    evaluated in blocks of about 2**14 values, so a process holds one
+    chunk's result rows and a few blocks.  A chunk through a Cholesky factor
+    is drawn and pushed whole, since BLAS rounds a product by its shape:
+    that takes two buffers of up to 2**21 values.  With two or more chunks
+    and two or more CPUs in the affinity set, the chunks run on forked
+    worker processes, one per CPU and at most one per chunk, which are
+    joined before this returns; otherwise they run inline, one after
+    another.  Each chunk's values are written at its own offset, so the
+    result does not depend on the path.
     """
     import numpy as np
     n, seed = _as_index(n), _as_index(seed)
@@ -336,9 +421,10 @@ def sample_gaussian_polynomial(
     ]
 
     rows = _chunk_rows(d)
+    block = max(1, _SLICE // d)
     tasks = [(c, min(rows, n - start)) for c, start in enumerate(range(0, n, rows))]
     out = np.empty(n, dtype=np.float64)
-    job = (seed, d, factor, terms)
+    job = (seed, d, factor, block, _term_plan(terms, d, block))
     for chunk, values in enumerate(_chunks_in_order(job, tasks)):
         out[chunk * rows : chunk * rows + values.size] = values
     return SampleSet(values=out, seed=seed)

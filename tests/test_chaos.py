@@ -568,6 +568,22 @@ def test_kappa4_and_gamma_variance_match_polynomial_oracle():
         assert gamma_variance(x) == polynomial_gamma_variance(x)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_single_chaos_gamma_variance_is_at_most_its_kappa4_share(q):
+    # Var Gamma <= (q - 1) / (3q) * kappa4 for X = I_q(u), with equality at
+    # q = 2 (Nourdin & Peccati 2012, "Normal Approximations with Malliavin
+    # Calculus", ch. 5); exact on seeded kernels
+    rng = random.Random(1000 + q)
+    share = Fraction(q - 1, 3 * q)
+    for _ in range(30):
+        d = rng.randint(2, 4)
+        x = ChaosElement(d, {q: _random_sym_tensor(rng, d, q)})
+        k4, var_gamma = kappa4_exact(x), gamma_variance(x)
+        assert 0 < var_gamma <= share * k4
+        if q == 2:
+            assert var_gamma == share * k4
+
+
 def test_kappa4_matches_the_split_on_mixed_parity_pairs():
     suite = mixed_parity_pairs()
     for (y, z), split in zip(suite["pairs"], suite["decompositions"]):

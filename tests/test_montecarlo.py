@@ -78,6 +78,16 @@ def test_quantile_rejects_boundary():
         normal_quantile(1.0)
     with pytest.raises(ValueError):
         normal_quantile(np.array([0.2, 1.5]))
+    for bad in (-1.0, math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError, match="strictly inside"):
+            normal_quantile(bad)
+
+
+def test_quantile_far_tail_values():
+    # p < e^-25 takes the far branch (r > 5); values recorded before that
+    # branch was skipped on slices without such p
+    assert normal_quantile(1e-12) == float.fromhex("-0x1.c234fba57a32ap+2")
+    assert normal_quantile(1e-300) == float.fromhex("-0x1.286074064c26ep+5")
 
 
 def _whole_array_as241(p):
@@ -194,6 +204,12 @@ def test_sampling_is_prefix_stable_across_chunks():
 V1_FIRST_CHUNK_SHA256 = "f3ce8f1b51c646bee4c8faf533fbf782bad6cef63366359688a6972782123997"
 V1_DYADIC_512_SHA256 = "233b3425f737c717bc3696500d17108b071574409efa69372f4fb0336d139b14"
 V1_BLOCKS_64_SHA256 = "27de67a7479168106450793a11b03daf1c5b7d4b55193daa91231e64609077eb"
+# The same through Cholesky factors, recorded with every chunk drawn, pushed
+# and summed whole: 40-dimensional (chunks of 52428 rows), and a dense
+# 36-dimensional factor whose second chunk has one row.
+V1_CHOLESKY_NUMERIC_SHA256 = "19aaf09e2d02615507d6327a33ac38104b943687ca49611d3166a6529f1d0c3a"
+V1_CHOLESKY_SYMBOLIC_SHA256 = "2b8338b22ec483670ddbe70e4ca35f20579ac5902d46a013da1d9e2f3a6584b2"
+V1_CHOLESKY_ROW_TAIL_SHA256 = "52948833e4137da6265112a6481ca3808c11b7a46d19796c0993843ce1f44524"
 
 
 def _sha256(values: np.ndarray) -> str:
@@ -223,6 +239,54 @@ def test_v1_stream_mixed_support_digest():
     assert _sha256(values) == V1_BLOCKS_64_SHA256
 
 
+def _correlated_cov(rho) -> CovSpec:
+    entries = [[Fraction(int(i == j)) for j in range(40)] for i in range(40)]
+    entries[0][1] = entries[1][0] = rho
+    return CovSpec(entries)
+
+
+def _numeric_cholesky_polynomial() -> GaussianPolynomial:
+    return GaussianPolynomial(
+        _correlated_cov(Fraction(1, 2)), {(1,) * 40: 1, (2,) + (0,) * 39: Fraction(1, 3)}
+    )
+
+
+def _symbolic_cholesky_polynomial() -> GaussianPolynomial:
+    rho = ParamPoly.variable("rho")
+    return GaussianPolynomial(
+        _correlated_cov(rho), {(1, 1) + (0,) * 38: 1, (0, 0, 2) + (0,) * 37: rho}
+    )
+
+
+def _dense_cholesky_polynomial() -> GaussianPolynomial:
+    # every pair correlated 1/4, so each pushed coordinate sums many
+    # products; pushed in 455-row blocks instead of whole chunks, some
+    # hundreds of them round differently under OpenBLAS
+    d = 36
+    cov = CovSpec([[Fraction(1) if i == j else Fraction(1, 4) for j in range(d)] for i in range(d)])
+    terms = {tuple(int(k in (i, i + 1)) for k in range(d)): 1 for i in range(d - 1)}
+    terms[(2,) + (0,) * (d - 1)] = Fraction(1, 3)
+    return GaussianPolynomial(cov, terms)
+
+
+def test_v1_stream_cholesky_numeric_digest():
+    f = _numeric_cholesky_polynomial()
+    values = sample_gaussian_polynomial(f, 150_000, seed=42).values  # 3 chunks
+    assert _sha256(values) == V1_CHOLESKY_NUMERIC_SHA256
+
+
+def test_v1_stream_cholesky_symbolic_digest():
+    f = _symbolic_cholesky_polynomial()
+    values = sample_gaussian_polynomial(f, 150_000, seed=42, assignment={"rho": -0.3}).values
+    assert _sha256(values) == V1_CHOLESKY_SYMBOLIC_SHA256
+
+
+def test_v1_stream_cholesky_one_row_tail_digest():
+    f = _dense_cholesky_polynomial()
+    values = sample_gaussian_polynomial(f, (1 << 21) // 36 + 1, seed=42).values
+    assert _sha256(values) == V1_CHOLESKY_ROW_TAIL_SHA256
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
@@ -250,7 +314,8 @@ def test_largest_draw_gives_a_finite_normal(monkeypatch):
             return out
 
     monkeypatch.setattr(np.random, "Generator", LargestDraw)
-    z = montecarlo._normal_chunk(42, 0, np.empty((3, 2)))
+    ((start, z),) = montecarlo._normal_blocks(42, 0, 3, np.empty((3, 2)))
+    assert start == 0
     assert np.all(np.isfinite(z))
     assert np.all(z == normal_quantile(np.nextafter(1.0, 0.0)))
 
@@ -265,46 +330,47 @@ def _peak_traced_bytes(call) -> int:
 
 
 def test_sampling_holds_one_chunk_buffer(monkeypatch):
-    # 3 chunks of 2^21 // 64 rows.  With one CPU they run inline, one after
-    # another, each drawing, transforming and evaluating in one 2^21-value
-    # buffer that is freed before the next: peak allocation is one chunk
-    # buffer plus row-sized arrays (and reaching one buffer shows that no
-    # pool ran).  With two CPUs they run in forked workers, and the parent
-    # allocates only the output and the row-sized chunk results.
+    # 3 chunks of 2^21 // 64 rows, each drawn, transformed and summed in
+    # blocks of 2^14 // 64 = 256 rows, that is 2^14 values.  With one CPU the
+    # chunks are drawn here, one after another, and the peak allocation is
+    # the output, one chunk's result and under ten blocks: the draw block,
+    # the term scratch, the four slice buffers of normal_quantile, the power
+    # table (exponents 1 and 2) and the tail entries.  With two CPUs they are
+    # drawn in forked workers, and the parent allocates only the output and
+    # the row-sized chunk results.
     cov = CovSpec.identity(64)
     f = GaussianPolynomial(cov, {(1, 1) + (0,) * 62: 1, (0, 0, 2) + (0,) * 61: 1})
-    chunk_bytes = (1 << 21) * 8
-    n = 3 * (1 << 15)
+    chunk_rows = 1 << 15
+    n = 3 * chunk_rows
+    block_bytes = (1 << 14) * 8
+    normal_blocks = montecarlo._normal_blocks
+    drawn_here = []
+
+    def record(seed, chunk, rows, buf):
+        drawn_here.append(chunk)
+        return normal_blocks(seed, chunk, rows, buf)
+
+    monkeypatch.setattr(montecarlo, "_normal_blocks", record)
     for cpus in (1, 2):
+        drawn_here.clear()
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
         peak = _peak_traced_bytes(lambda: sample_gaussian_polynomial(f, n, seed=5))
         if cpus == 1:
-            assert chunk_bytes <= peak < chunk_bytes + (1 << 22)
+            assert drawn_here == [0, 1, 2]
+            assert peak < (n + chunk_rows) * 8 + 10 * block_bytes
         else:
-            assert peak < 4 * n * 8 < chunk_bytes
-
-
-def _correlated_cov(rho) -> CovSpec:
-    entries = [[Fraction(int(i == j)) for j in range(40)] for i in range(40)]
-    entries[0][1] = entries[1][0] = rho
-    return CovSpec(entries)
+            assert drawn_here == []
+            assert peak < 4 * n * 8
 
 
 def test_worker_count_does_not_change_bits(monkeypatch):
     # 8 chunks of an identity covariance, then 3 chunks through a Cholesky
     # factor, numeric and symbolic; every worker count gives the same bytes
-    rho = ParamPoly.variable("rho")
     dyadic = family_point("dyadic_p2", 512).scaled.element.compile()
-    numeric = GaussianPolynomial(
-        _correlated_cov(Fraction(1, 2)), {(1,) * 40: 1, (2,) + (0,) * 39: Fraction(1, 3)}
-    )
-    symbolic = GaussianPolynomial(
-        _correlated_cov(rho), {(1, 1) + (0,) * 38: 1, (0, 0, 2) + (0,) * 37: rho}
-    )
     cases = (
         (dyadic, 1 << 14, None),
-        (numeric, 150_000, None),
-        (symbolic, 150_000, {"rho": -0.3}),
+        (_numeric_cholesky_polynomial(), 150_000, None),
+        (_symbolic_cholesky_polynomial(), 150_000, {"rho": -0.3}),
     )
     digests = []
     for f, n, assignment in cases:
@@ -315,7 +381,9 @@ def test_worker_count_does_not_change_bits(monkeypatch):
             runs.add(_sha256(values))
         assert len(runs) == 1
         digests.append(runs.pop())
-    assert digests[0] == V1_DYADIC_512_SHA256
+    assert digests == [
+        V1_DYADIC_512_SHA256, V1_CHOLESKY_NUMERIC_SHA256, V1_CHOLESKY_SYMBOLIC_SHA256
+    ]
 
 
 def test_sampling_leaves_no_worker_processes(monkeypatch):
@@ -325,14 +393,14 @@ def test_sampling_leaves_no_worker_processes(monkeypatch):
     sample_gaussian_polynomial(f, 5 * (1 << 15), seed=5)
     assert multiprocessing.active_children() == []
 
-    normal_chunk = montecarlo._normal_chunk
+    normal_blocks = montecarlo._normal_blocks
 
-    def fail_in_chunk_3(seed, chunk, buf):
+    def fail_in_chunk_3(seed, chunk, rows, buf):
         if chunk == 3:
             raise ArithmeticError("chunk 3")
-        return normal_chunk(seed, chunk, buf)
+        return normal_blocks(seed, chunk, rows, buf)
 
-    monkeypatch.setattr(montecarlo, "_normal_chunk", fail_in_chunk_3)
+    monkeypatch.setattr(montecarlo, "_normal_blocks", fail_in_chunk_3)
     with pytest.raises(ArithmeticError, match="chunk 3"):
         sample_gaussian_polynomial(f, 5 * (1 << 15), seed=5)
     assert multiprocessing.active_children() == []
@@ -349,6 +417,138 @@ def test_daemonic_worker_samples_inline():
     with multiprocessing.get_context("fork").Pool(1) as pool:
         digest = pool.apply_async(_dyadic_512_digest, (42,)).get(timeout=120)
     assert digest == V1_DYADIC_512_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The blocked chunk kernel against the per-term reference
+# ---------------------------------------------------------------------------
+
+
+def _float_terms(f: GaussianPolynomial, assignment=None) -> list:
+    return [
+        (key, f.terms[key].evaluate_float(dict(assignment or {})))
+        for key in sorted(f.terms, key=montecarlo._dense_order)
+    ]
+
+
+def _per_term_values(f: GaussianPolynomial, n: int, seed: int, assignment=None):
+    """The evaluation that recorded the v1 stream: each chunk's normals in
+    one buffer, pushed through the Cholesky factor whole, then each term
+    built as value * factor_1 * factor_2 ... and added to a zero sum."""
+    d = f.cov.dimension
+    factor = None if f.cov.is_identity else np.asarray(f.cov.cholesky_factor(assignment))
+    rows = montecarlo._chunk_rows(d)
+    out = []
+    for chunk, start in enumerate(range(0, n, rows)):
+        k = min(rows, n - start)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
+        z = np.random.Generator(np.random.Philox(ss)).random((k, d))
+        z += 2.0**-54
+        np.minimum(z, np.nextafter(1.0, 0.0), out=z)
+        z = normal_quantile(z, out=z)
+        x = z if factor is None else z @ factor.T
+        acc = np.zeros(k)
+        for support, value in _float_terms(f, assignment):
+            term = np.full(k, value)
+            for i, e in support:
+                term *= x[:, i] if e == 1 else x[:, i] ** e
+            acc += term
+        out.append(acc)
+    return np.concatenate(out)
+
+
+def _blocked_chunk(f: GaussianPolynomial, rows: int, seed: int, block: int):
+    """Chunk 0 of f on an identity covariance, in blocks of ``block`` rows."""
+    d = f.cov.dimension
+    plan = montecarlo._term_plan(_float_terms(f), d, block)
+    return montecarlo._chunk_values((0, rows), job=(seed, d, None, block, plan))
+
+
+def _assert_blocked_matches_per_term(f, n, seed, assignment=None, blocks=(1, 7)):
+    want = _per_term_values(f, n, seed, assignment)
+    got = sample_gaussian_polynomial(f, n, seed, assignment=assignment).values
+    assert got.tobytes() == want.tobytes()
+    # the first rows of chunk 0, since its draws continue across blocks;
+    # short blocks sum by accumulate, long ones by one add per term
+    rows = min(n, 500)
+    for block in blocks:
+        assert _blocked_chunk(f, rows, seed, block).tobytes() == want[:rows].tobytes()
+
+
+def test_blocked_kernel_hermite_constants_and_powers():
+    # compiled Hermite products: constants, x^2 ... x^4, and mixed powers
+    kernel = SymTensor(3, 4, {(0, 0, 0, 0): 1, (0, 0, 1, 1): Fraction(1, 3), (0, 1, 2, 2): -2})
+    f = ChaosElement(3, {4: kernel, 2: SymTensor(3, 2, {(1, 1): Fraction(5, 7)})}).compile()
+    assert () in f.terms and any(e >= 3 for key in f.terms for _, e in key)
+    _assert_blocked_matches_per_term(f, 20_000, seed=3)
+
+
+def test_blocked_kernel_mixed_exponent_patterns():
+    import random as pyrandom
+
+    rng = pyrandom.Random(1616)
+    cov = CovSpec.identity(6)
+    terms = {}
+    for _ in range(40):
+        exponents = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(6))
+        terms[exponents] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    _assert_blocked_matches_per_term(GaussianPolynomial(cov, terms), 9_000, seed=4)
+
+
+def test_blocked_kernel_one_row_tail_chunks():
+    # 2^21 // 40 + 1 rows: the second chunk, and its one block, has one row
+    cov = CovSpec.identity(40)
+    f = GaussianPolynomial(cov, {(1, 1) + (0,) * 38: 1, (0, 2) + (0,) * 38: -1, (0,) * 40: 2})
+    _assert_blocked_matches_per_term(f, (1 << 21) // 40 + 1, seed=6)
+
+
+def test_blocked_kernel_cholesky():
+    # a dense factor with a one-row tail chunk, and a symbolic factor
+    f = _dense_cholesky_polynomial()
+    _assert_blocked_matches_per_term(f, (1 << 21) // 36 + 1, seed=6, blocks=())
+    f = _symbolic_cholesky_polynomial()
+    _assert_blocked_matches_per_term(f, 60_000, seed=8, assignment={"rho": 0.7}, blocks=())
+
+
+def _dense_quartic(d: int) -> GaussianPolynomial:
+    import itertools
+    import random as pyrandom
+
+    rng = pyrandom.Random(12)
+    index = itertools.combinations_with_replacement(range(d), 4)
+    kernel = SymTensor(d, 4, {idx: Fraction(rng.randint(-9, 9) or 1, 7) for idx in index})
+    return ChaosElement(d, {4: kernel}).compile()
+
+
+def test_blocked_kernel_many_terms_in_windows(monkeypatch):
+    # 1442 terms at d = 12 take 132 windows of 11 terms per 1365-row block
+    # (2 windows per 16-row block).  Inline, the kernel must give the
+    # per-term bits, allocate less than the per-term evaluation, which holds
+    # the whole chunk, and take no longer (best of three, with a margin for
+    # timer noise).
+    import time
+
+    f = _dense_quartic(12)
+    assert len(f.terms) == 1442
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+    n = 20_000
+
+    def best_seconds(call):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            values = call()
+            times.append(time.perf_counter() - start)
+        return min(times), values
+
+    blocked = lambda: sample_gaussian_polynomial(f, n, seed=9).values  # noqa: E731
+    per_term = lambda: _per_term_values(f, n, seed=9)  # noqa: E731
+    blocked_s, got = best_seconds(blocked)
+    per_term_s, want = best_seconds(per_term)
+    assert got.tobytes() == want.tobytes()
+    assert _blocked_chunk(f, 500, 9, 16).tobytes() == want[:500].tobytes()
+    assert _peak_traced_bytes(blocked) < _peak_traced_bytes(per_term)
+    assert blocked_s < 1.25 * per_term_s
 
 
 def test_h2_sample_mean_band():
@@ -518,6 +718,18 @@ def test_blocks_exact_columns():
         pt = family_point("independent_blocks_M3", n)
         assert pt.exact_kappa4() == Fraction(10, 3 * n)
         assert pt.exact_gamma_variance() == Fraction(5, 9 * n)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_gamma_variance_is_a_sixth_of_kappa4(family):
+    # per block Var Gamma = kappa4 / 6, so the clt bound stein_w is
+    # sqrt(kappa4 / 6) / sigma at every n: the experiment's sqrt(kappa4) rate
+    _, block_kappa4, block_gamma_var = montecarlo._block_stats(family)
+    assert block_gamma_var == block_kappa4 / 6
+    for n in (1, 4, 64, 256):
+        pt = family_point(family, n)
+        assert pt.exact_gamma_variance() == pt.exact_kappa4() / 6
+        assert pt.stein_w_bound() == math.sqrt(float(pt.exact_kappa4() / 6)) / pt.sigma()
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
