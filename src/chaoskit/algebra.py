@@ -23,7 +23,6 @@ __all__ = [
     "HermitePoly",
     "double_factorial",
     "hermite",
-    "hermite_expand",
     "param_eval",
     "real_roots",
 ]
@@ -431,26 +430,6 @@ def hermite(p: int) -> HermitePoly:
             coeffs[i] -= k * c
         _HERMITE_COEFFS.append(tuple(coeffs))
     return HermitePoly(p, _HERMITE_COEFFS[p])
-
-
-def hermite_expand(coefficients: Sequence[ExactScalar]) -> dict[int, Fraction]:
-    """Rewrite a polynomial (monomial coefficients, ascending) in the Hermite basis.
-
-    Returns {order: coefficient} with zero entries omitted.  Exact, and
-    invertible: substituting the Hermite polynomials back recovers the input.
-    """
-    work = [_as_fraction(c) for c in coefficients]
-    while work and not work[-1]:
-        work.pop()
-    out: dict[int, Fraction] = {}
-    for k in range(len(work) - 1, -1, -1):
-        c = work[k]
-        if not c:
-            continue
-        out[k] = c
-        for i, h in enumerate(hermite(k).coefficients):
-            work[i] -= c * h
-    return {k: out[k] for k in sorted(out)}
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,11 @@ __all__ = [
     "ProductExpansion",
     "Kappa4Decomposition",
     "MixedTermBound",
-    "symmetrize",
     "contract",
     "contract_sym",
     "multiple_integral",
     "product_formula_expand",
     "malliavin_derivative",
-    "ou_apply",
     "ou_inverse",
     "gamma",
     "gamma_variance",
@@ -119,12 +117,6 @@ class SymTensor:
                 total += _orbit_size(idx) * c * d
         return total
 
-    def full_items(self):
-        """Yield every (full index, value) pair, one per distinct permutation."""
-        for idx, value in self.coeffs.items():
-            for perm in set(itertools.permutations(idx)):
-                yield perm, value
-
     def scale(self, factor: Union[Fraction, int]) -> "SymTensor":
         factor = _as_fraction(factor)
         return SymTensor(
@@ -204,33 +196,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(d={self.dimension}, order={self.order}, nnz={len(self.entries)})"
-
-
-def symmetrize(
-    source: Union[Tensor, SymTensor, Mapping[tuple[int, ...], Union[Fraction, int]]],
-    dimension: int | None = None,
-    order: int | None = None,
-) -> SymTensor:
-    """Symmetrize a tensor: average the entries over each index orbit.
-
-    Accepts a :class:`Tensor`, a full-index mapping (``dimension`` and
-    ``order`` then required), or a :class:`SymTensor` (returned unchanged;
-    symmetrization is idempotent).
-    """
-    if isinstance(source, SymTensor):
-        return source
-    if isinstance(source, Tensor):
-        entries, dimension, order = source.entries, source.dimension, source.order
-    else:
-        if dimension is None or order is None:
-            raise ValueError("mapping input needs explicit dimension and order")
-        entries = source
-    sums: dict[tuple[int, ...], Fraction] = {}
-    for idx, value in entries.items():
-        key = tuple(sorted(idx))
-        sums[key] = sums.get(key, Fraction(0)) + _as_fraction(value)
-    coeffs = {idx: total / _orbit_size(idx) for idx, total in sums.items()}
-    return SymTensor(dimension, order, coeffs)
 
 
 def _check_contraction(u: SymTensor, v: SymTensor, r: int) -> None:
@@ -366,6 +331,9 @@ class ChaosElement:
     __slots__ = ("dimension", "components")
 
     def __init__(self, dimension: int, components: Mapping[int, SymTensor]):
+        dimension = _as_index(dimension)
+        if dimension < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         cleaned: dict[int, SymTensor] = {}
         for order, tensor in components.items():
             order = _as_index(order)
@@ -548,13 +516,6 @@ def malliavin_derivative(X: ChaosElement) -> HVector:
     sum_p p * I_{p-1}(u_p(., e_i)))."""
     f = X.compile()
     return HVector(X.dimension, tuple(f.derivative(i) for i in range(X.dimension)))
-
-
-def ou_apply(X: ChaosElement) -> ChaosElement:
-    """Number operator: multiply the order-p component by p."""
-    return ChaosElement(
-        X.dimension, {p: u.scale(p) for p, u in X.components.items()}
-    )
 
 
 def ou_inverse(X: ChaosElement) -> ChaosElement:

@@ -9,8 +9,8 @@ each chunk is a pure function of (seed, chunk, dimension) and the sample
 stream one of (seed, size, dimension).  One function,
 ``_chunk_values``, draws, transforms and evaluates a chunk in blocks of
 ``max(1, 2**14 // dimension)`` rows, continuing the chunk's generator from
-block to block, so a process holds one chunk's results and a few blocks of
-about 2**14 values, not the chunk's 2**21 draws.  The counter-based stream,
+block to block, so a process holds a few blocks of about 2**14 values, and
+a worker its chunk's results, not the 2**21 draws.  The counter-based stream,
 the quantile and the term products work elementwise, so the blocks change
 no bit; BLAS does not (it rounds a product by its shape), so a covariance
 that is not the identity draws and pushes each chunk whole and only sums its
@@ -337,10 +337,13 @@ def _sum_terms(x: np.ndarray, plan: tuple, scratch: np.ndarray) -> np.ndarray:
     return s[0]
 
 
-def _chunk_values(task: tuple[int, int], job: tuple | None = None) -> np.ndarray:
+def _chunk_values(
+    task: tuple[int, int], job: tuple | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """The functional on chunk ``task`` = (chunk, rows) of ``job`` = (seed,
     dimension, Cholesky factor or None, block rows, term plan), or of the job
-    a pool worker was started with, computed one block of rows at a time."""
+    a pool worker was started with, computed one block of rows at a time into
+    ``out`` (a new array when None)."""
     import numpy as np
     seed, d, factor, block, plan = _worker_job if job is None else job
     chunk, rows = task
@@ -349,7 +352,7 @@ def _chunk_values(task: tuple[int, int], job: tuple | None = None) -> np.ndarray
     # chunk is drawn and pushed whole, then summed in blocks like the rest
     draw = rows if factor is not None else block
     scratch = np.empty((1 + max((len(values) for _, values in plan[1]), default=0), block))
-    values = np.empty(rows)
+    values = np.empty(rows) if out is None else out
     for start, z in _normal_blocks(seed, chunk, rows, np.empty((draw, d))):
         x = z if factor is None else z @ factor.T
         for i in range(0, x.shape[0], block):
@@ -365,10 +368,11 @@ def _start_worker(job: tuple) -> None:
     _worker_job = job
 
 
-def _chunks_in_order(job: tuple, tasks: list[tuple[int, int]]):
-    """The tasks' chunk values, in task order: on forked workers, one per CPU
-    and at most one per chunk, when there are two or more of each; else
-    inline.  The pool is joined when the generator finishes."""
+def _fill_chunks(job: tuple, tasks: list[tuple[int, int]], targets: list) -> None:
+    """Write each task's chunk values into its target, a view of the output:
+    on forked workers, one per CPU and at most one per chunk, when there are
+    two or more of each, copying each result in as it arrives; else inline,
+    straight into the target.  The pool is joined before this returns."""
     import multiprocessing
     workers = min(_available_cpus(), len(tasks))
     if (
@@ -376,11 +380,13 @@ def _chunks_in_order(job: tuple, tasks: list[tuple[int, int]]):
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        yield from map(functools.partial(_chunk_values, job=job), tasks)
+        for task, target in zip(tasks, targets):
+            _chunk_values(task, job, target)
         return
     # the job reaches the workers through the fork, not through a pickle
     with multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,)) as pool:
-        yield from pool.imap(_chunk_values, tasks)
+        for target, values in zip(targets, pool.imap(_chunk_values, tasks)):
+            target[...] = values
 
 
 def sample_gaussian_polynomial(
@@ -397,15 +403,15 @@ def sample_gaussian_polynomial(
     after the same assignment.
 
     The terms become a plan, built once here, and each chunk is drawn and
-    evaluated in blocks of about 2**14 values, so a process holds one
-    chunk's result rows and a few blocks.  A chunk through a Cholesky factor
-    is drawn and pushed whole, since BLAS rounds a product by its shape:
-    that takes two buffers of up to 2**21 values.  With two or more chunks
-    and two or more CPUs in the affinity set, the chunks run on forked
-    worker processes, one per CPU and at most one per chunk, which are
-    joined before this returns; otherwise they run inline, one after
-    another.  Each chunk's values are written at its own offset, so the
-    result does not depend on the path.
+    evaluated in blocks of about 2**14 values: inline, straight into the
+    result, and on a worker into that chunk's own result rows.  A chunk
+    through a Cholesky factor is drawn and pushed whole, since BLAS rounds a
+    product by its shape: that takes two buffers of up to 2**21 values.
+    With two or more chunks and two or more CPUs in the affinity set, the
+    chunks run on forked worker processes, one per CPU and at most one per
+    chunk, which are joined before this returns; otherwise they run inline,
+    one after another.  Each chunk's values are written at its own offset,
+    so the result does not depend on the path.
     """
     import numpy as np
     n, seed = _as_index(n), _as_index(seed)
@@ -422,11 +428,10 @@ def sample_gaussian_polynomial(
 
     rows = _chunk_rows(d)
     block = max(1, _SLICE // d)
-    tasks = [(c, min(rows, n - start)) for c, start in enumerate(range(0, n, rows))]
     out = np.empty(n, dtype=np.float64)
-    job = (seed, d, factor, block, _term_plan(terms, d, block))
-    for chunk, values in enumerate(_chunks_in_order(job, tasks)):
-        out[chunk * rows : chunk * rows + values.size] = values
+    targets = [out[start : start + rows] for start in range(0, n, rows)]
+    tasks = [(c, target.size) for c, target in enumerate(targets)]
+    _fill_chunks((seed, d, factor, block, _term_plan(terms, d, block)), tasks, targets)
     return SampleSet(values=out, seed=seed)
 
 

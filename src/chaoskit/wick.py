@@ -111,13 +111,6 @@ class CovSpec:
     def is_identity(self) -> bool:
         return self._is_identity
 
-    def parameters(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for row in self._entries or ():
-            for entry in row:
-                names.update(entry.variables)
-        return tuple(sorted(names))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CovSpec):
             return NotImplemented
@@ -150,11 +143,6 @@ class CovSpec:
         perm = list(range(d))
         for k in range(d):
             j = max(range(k, d), key=lambda t: m[t][t])
-            if m[j][j] < -tol:
-                raise ValueError(
-                    f"covariance is not PSD at this evaluation point "
-                    f"(pivot {m[j][j]:.3e})"
-                )
             if j != k:
                 m[k], m[j] = m[j], m[k]
                 for row in m:
@@ -306,8 +294,6 @@ class GaussianPolynomial(SparsePoly):
     # perfbench/spans.py wraps these entries through the class's own
     # __dict__, so they must live here and not only on SparsePoly.
     __mul__ = __rmul__ = SparsePoly.__mul__
-
-    partial_derivative = SparsePoly.derivative
 
     @classmethod
     def constant(cls, cov: CovSpec, value) -> "GaussianPolynomial":

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import hermite_expand
 
 from chaoskit.algebra import (
     ParamPoly,
     double_factorial,
     hermite,
-    hermite_expand,
     param_eval,
     real_roots,
 )

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import full_items, ou_apply, symmetrize
 from test_acceptance import mixed_parity_pairs, mixed_term_pairs, stein_chain_elements
 
 from chaoskit.algebra import ParamPoly
@@ -29,14 +30,13 @@ from chaoskit.chaos import (
     max_contraction_norms,
     mixed_term_bound_check,
     multiple_integral,
-    ou_apply,
     ou_inverse,
     product_formula_expand,
     stein_bound,
-    symmetrize,
 )
 from chaoskit.chaos import _contraction_norm_sq
 from chaoskit.cli import _random_chaos_element, _random_sym_tensor
+from chaoskit.counterexamples import counterexample_h1h3
 from chaoskit.montecarlo import FAMILY_NAMES, family_point
 from chaoskit.wick import (
     CovSpec,
@@ -120,7 +120,7 @@ def test_symmetrize_order_three_orbit_of_three():
     s = symmetrize({(1, 1, 0): 1}, dimension=2, order=3)
     assert s.coeffs == {(0, 1, 1): Fraction(1, 3)}
     # all three orderings carry weight 1/3
-    full = dict(s.full_items())
+    full = dict(full_items(s))
     assert full[(1, 1, 0)] == Fraction(1, 3)
     assert full[(1, 0, 1)] == Fraction(1, 3)
     assert full[(0, 1, 1)] == Fraction(1, 3)
@@ -395,6 +395,14 @@ def test_chaos_element_validation():
         ChaosElement(2, {3: sym_pair()})  # key does not match order
     with pytest.raises(ValueError):
         ChaosElement(2, {2: sym_pair()}) + ChaosElement(3, {2: sym_pair(3)})
+    # the dimension follows SymTensor's integer rule
+    with pytest.raises(TypeError):
+        ChaosElement(2.0, {1: SymTensor(2, 1, {(0,): 1})})
+    with pytest.raises(TypeError):
+        ChaosElement(True, {1: SymTensor(1, 1, {(0,): 1})})
+    for dimension in (0, -3):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            ChaosElement(dimension, {})
 
 
 def test_chaos_element_add_and_scale():
@@ -439,7 +447,7 @@ def test_derivative_matches_partial_derivatives(u):
     dx = malliavin_derivative(x)
     compiled = x.compile()
     for i in range(2):
-        assert dx.entries[i] == compiled.partial_derivative(i)
+        assert dx.entries[i] == compiled.derivative(i)
 
 
 def test_hvector_validates_length():
@@ -582,6 +590,24 @@ def test_single_chaos_gamma_variance_is_at_most_its_kappa4_share(q):
         assert 0 < var_gamma <= share * k4
         if q == 2:
             assert var_gamma == share * k4
+
+
+def test_same_parity_kappa4_is_negative_on_the_tensor_engine():
+    # the paper's p = 1, q = 3 failure, on the tensor engine: with the unit
+    # vector v = (-3/5, 4/5), I_3(v^{(x)3}) = H_3(V) for V = <v, x>, so X is
+    # 10 U + H_3(V) with U = x_0 and rho = E[UV] = -3/5, the bivariate
+    # element that counterexample_h1h3 builds on its Wick engine
+    v = (Fraction(-3, 5), Fraction(4, 5))
+    cube = {
+        idx: v[idx[0]] * v[idx[1]] * v[idx[2]]
+        for idx in itertools.combinations_with_replacement(range(2), 3)
+    }
+    x = ChaosElement(2, {1: SymTensor(2, 1, {(0,): 10}), 3: SymTensor(2, 3, cube)})
+    report = counterexample_h1h3()
+    assert kappa4_exact(x) == -1944
+    assert report.kappa4_poly.substitute("rho", Fraction(-3, 5)).constant_value() == -1944
+    assert gamma_variance(x) == 504  # > 0: X is not Gaussian, yet kappa4 < 0
+    assert x.variance() == report.e2 == 106
 
 
 def test_kappa4_matches_the_split_on_mixed_parity_pairs():

@@ -332,8 +332,8 @@ def _peak_traced_bytes(call) -> int:
 def test_sampling_holds_one_chunk_buffer(monkeypatch):
     # 3 chunks of 2^21 // 64 rows, each drawn, transformed and summed in
     # blocks of 2^14 // 64 = 256 rows, that is 2^14 values.  With one CPU the
-    # chunks are drawn here, one after another, and the peak allocation is
-    # the output, one chunk's result and under ten blocks: the draw block,
+    # chunks are drawn here, one after another, straight into the output, and
+    # the peak allocation is the output and under ten blocks: the draw block,
     # the term scratch, the four slice buffers of normal_quantile, the power
     # table (exponents 1 and 2) and the tail entries.  With two CPUs they are
     # drawn in forked workers, and the parent allocates only the output and
@@ -357,7 +357,7 @@ def test_sampling_holds_one_chunk_buffer(monkeypatch):
         peak = _peak_traced_bytes(lambda: sample_gaussian_polynomial(f, n, seed=5))
         if cpus == 1:
             assert drawn_here == [0, 1, 2]
-            assert peak < (n + chunk_rows) * 8 + 10 * block_bytes
+            assert peak < n * 8 + 10 * block_bytes
         else:
             assert drawn_here == []
             assert peak < 4 * n * 8
