@@ -49,11 +49,21 @@ __all__ = [
 
 
 def _orbit_size(idx: tuple[int, ...]) -> int:
-    """Number of distinct permutations of a sorted multi-index."""
-    size = math.factorial(len(idx))
-    for _, group in itertools.groupby(idx):
-        size //= math.factorial(sum(1 for _ in group))
+    """Distinct permutations of a sorted index: p! / prod m_i!, in integers."""
+    size, run, prev = math.factorial(len(idx)), 0, None
+    for i in idx:
+        run = run + 1 if i == prev else 1
+        size //= run
+        prev = i
     return size
+
+
+def _orbit_sum(terms) -> Fraction:
+    """sum of x / w over (w, x) integer pairs, the x summed per w first."""
+    groups: dict[int, int] = {}
+    for w, x in terms:
+        groups[w] = groups.get(w, 0) + x
+    return sum((Fraction(x, w) for w, x in groups.items()), Fraction(0))
 
 
 class SymTensor:
@@ -88,6 +98,14 @@ class SymTensor:
         self.dimension = dimension
         self.order = order
         self.coeffs = cleaned
+
+    @classmethod
+    def _of(cls, dimension: int, order: int, scale: int, sums: dict) -> "SymTensor":
+        """Entry t / (scale orbit(m)) at each sorted m, t = sums[m] (not validated)."""
+        tensor = cls.__new__(cls)
+        tensor.dimension, tensor.order = dimension, order
+        tensor.coeffs = {m: Fraction(t, scale * _orbit_size(m)) for m, t in sums.items() if t}
+        return tensor
 
     @property
     def is_zero(self) -> bool:
@@ -279,37 +297,26 @@ def _contraction_norm_sq(u: SymTensor, v: SymTensor, r: int) -> Fraction:
 
     Block (a, b) covers orbit(a) orbit(b) full indices, each holding
     total / (L orbit(a) orbit(b)), so it adds total^2 / (orbit(a) orbit(b))
-    / L^2.  The integer squares are summed per orbit product first.
+    / L^2; :func:`_orbit_sum` sums the integer squares per orbit product.
     """
     den, blocks = _contraction(u, v, r)
-    groups: dict[int, int] = {}
-    for (a, b), total in blocks.items():
-        weight = _orbit_size(a) * _orbit_size(b)
-        groups[weight] = groups.get(weight, 0) + total * total
-    norm_sq = sum((Fraction(s, w) for w, s in groups.items()), Fraction(0))
-    return norm_sq / (den * den)
+    squares = ((_orbit_size(a) * _orbit_size(b), t * t) for (a, b), t in blocks.items())
+    return _orbit_sum(squares) / (den * den)
 
 
-def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> Union[SymTensor, Fraction]:
-    """u (x)~_r v on sorted multi-indices, or the scalar <u, v> when r = p = q.
+def _sym_contract(u: SymTensor, v: SymTensor, r: int) -> tuple[int, dict]:
+    """L and {sorted m: t_m} with u (x)~_r v at m equal to t_m / (L orbit(m)).
 
-    The orbit sum of u (x)_r v at a sorted index m is the sum of the block
-    sums of :func:`_contraction` with sorted(a + b) = m; dividing by
-    L orbit(m) gives the symmetrized entry.
+    t_m, the orbit sum of L * u (x)_r v at m, is the sum of the block sums of
+    :func:`_contraction` with sorted(a + b) = m.  For r = p = q the one key
+    is () and t / L = <u, v>.
     """
     den, blocks = _contraction(u, v, r)
     acc: dict[tuple[int, ...], int] = {}
     for (a, b), total in blocks.items():
         key = tuple(sorted(a + b))
         acc[key] = acc.get(key, 0) + total
-    order = u.order + v.order - 2 * r
-    if order == 0:
-        return Fraction(acc.get((), 0), den)
-    return SymTensor(
-        u.dimension,
-        order,
-        {m: Fraction(total, den * _orbit_size(m)) for m, total in acc.items() if total},
-    )
+    return den, acc
 
 
 def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
@@ -317,7 +324,7 @@ def contract_sym(u: SymTensor, v: SymTensor, r: int) -> SymTensor:
     _check_contraction(u, v, r)
     if u.order + v.order == 2 * r:
         raise ValueError("symmetrized contraction is undefined for order 0")
-    return _sym_contract(u, v, r)
+    return SymTensor._of(u.dimension, u.order + v.order - 2 * r, *_sym_contract(u, v, r))
 
 
 # ---------------------------------------------------------------------------
@@ -446,36 +453,57 @@ class ProductExpansion:
 
 def _product_sum(
     pairs: list[tuple[SymTensor, SymTensor, Union[Fraction, int]]],
-    dimension: int,
     by_r: bool = False,
-) -> tuple[ChaosElement, Fraction]:
+) -> tuple[Fraction, dict]:
     """sum over (u, v, w) and r of w r! C(p,r) C(q,r) u (x)~_r v, times r if ``by_r``.
 
-    The one product-formula sum: returns the components of order >= 1 as a
-    chaos element and the r = p = q terms as one order-0 constant.  With
-    ``by_r`` the r = 0 terms vanish, and the r = p = q terms, which no
-    caller reads, are skipped too: the constant returned is then 0.
+    The one product-formula sum, kept in integers.  Returns the r = p = q
+    terms as one order-0 constant c and, per order k >= 1 with a nonzero
+    entry, (L_k, {sorted m: t_m}) with h_k[m] = t_m / (L_k orbit(m)), L_k the
+    lcm of the order-k terms' denominators.  With ``by_r`` the r = 0 terms
+    vanish, and the r = p = q terms, which no caller reads, are skipped too.
     """
-    components: dict[int, SymTensor] = {}
+    terms: dict[int, list] = {}
     constant = Fraction(0)
     for u, v, w in pairs:
         p, q = u.order, v.order
         top = min(p, q) - (by_r and p == q)
         for r in range(1 if by_r else 0, top + 1):
             coef = w * math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-            if by_r:
-                coef *= r
-            term = _sym_contract(u, v, r)
-            if isinstance(term, Fraction):
-                constant += coef * term
-            elif not term.is_zero:
-                k = term.order
-                term = term.scale(coef)
-                components[k] = components[k] + term if k in components else term
-    return ChaosElement(dimension, components), constant
+            den, acc = _sym_contract(u, v, r)
+            term = Fraction(coef * r if by_r else coef, den)
+            if p + q == 2 * r:
+                constant += term * acc.get((), 0)
+            else:
+                terms.setdefault(p + q - 2 * r, []).append((term, acc))
+    sums = {}
+    for k, parts in sorted(terms.items()):
+        scale = math.lcm(*(f.denominator for f, _ in parts))
+        total: dict[tuple[int, ...], int] = {}
+        for f, acc in parts:
+            factor = f.numerator * (scale // f.denominator)
+            for m, t in acc.items():
+                total[m] = total.get(m, 0) + factor * t
+        if any(total.values()):
+            sums[k] = (scale, total)
+    return constant, sums
 
 
-def _square(X: ChaosElement, by_r: bool = False) -> tuple[ChaosElement, Fraction]:
+def _inner(a: dict, b: dict) -> Fraction:
+    """sum_k k! <a_k, b_k> = E[I(a) I(b)] for two integer product sums.
+
+    <a_k, b_k> = sum_m orbit(m) a_k[m] b_k[m] = sum_m s_m t_m / orbit(m) / (L_a L_b),
+    the integer products grouped by orbit (:func:`_orbit_sum`).
+    """
+    total = Fraction(0)
+    for k in a.keys() & b.keys():
+        (scale_a, sa), (scale_b, sb) = a[k], b[k]
+        dot = _orbit_sum((_orbit_size(m), s * sb[m]) for m, s in sa.items() if m in sb)
+        total += math.factorial(k) * dot / (scale_a * scale_b)
+    return total
+
+
+def _square(X: ChaosElement, by_r: bool = False) -> tuple[Fraction, dict]:
     """X^2, or gamma(X) minus its order-0 part Var X when ``by_r``, by the
     product formula.
 
@@ -492,7 +520,7 @@ def _square(X: ChaosElement, by_r: bool = False) -> tuple[ChaosElement, Fraction
         for i, (p, u) in enumerate(items)
         for q, v in items[i:]
     ]
-    return _product_sum(pairs, X.dimension, by_r)
+    return _product_sum(pairs, by_r)
 
 
 def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
@@ -502,7 +530,9 @@ def product_formula_expand(u: SymTensor, v: SymTensor) -> ProductExpansion:
     """
     if u.dimension != v.dimension:
         raise ValueError("product formula needs matching dimensions")
-    return ProductExpansion(*_product_sum([(u, v, 1)], u.dimension))
+    constant, sums = _product_sum([(u, v, 1)])
+    components = {k: SymTensor._of(u.dimension, k, *sums[k]) for k in sums}
+    return ProductExpansion(ChaosElement(u.dimension, components), constant)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +566,11 @@ def gamma_variance(X: ChaosElement) -> Fraction:
     """Var(gamma(X)) = sum_{k>=1} k! |g_k|^2, exactly.
 
     g_k is the order-k kernel of gamma(X), the product formula weighted by
-    r/q (see :func:`_square`).  The order-0 part is Var X.
+    r/q (see :func:`_square`); the order-0 part is Var X.  The sum is read
+    from the integer numerators of g_k (:func:`_inner`); no kernel is built.
     """
-    return _square(X, by_r=True)[0].variance()
+    g = _square(X, by_r=True)[1]
+    return _inner(g, g)
 
 
 def stein_bound(X: ChaosElement, which: str = "combined") -> float:
@@ -547,6 +579,8 @@ def stein_bound(X: ChaosElement, which: str = "combined") -> float:
     wasserstein: (1/sigma) * sqrt(Var gamma);  tv: (2/sigma^2) * sqrt(Var gamma);
     combined: 2 / min(sigma, sigma^2) * sqrt(Var gamma).
     """
+    if which not in ("wasserstein", "tv", "combined"):
+        raise ValueError(f"unknown bound kind {which!r}")
     variance = float(X.variance())
     if variance <= 0:
         raise ValueError("stein_bound needs a non-degenerate element")
@@ -556,9 +590,7 @@ def stein_bound(X: ChaosElement, which: str = "combined") -> float:
         return spread / sigma
     if which == "tv":
         return 2.0 * spread / variance
-    if which == "combined":
-        return 2.0 * spread / min(sigma, variance)
-    raise ValueError(f"unknown bound kind {which!r}")
+    return 2.0 * spread / min(sigma, variance)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +603,11 @@ def kappa4_exact(X: ChaosElement) -> Fraction:
 
     X^2 = c + sum_k I_k(h_k) by the product formula (see :func:`_square`).
     X is centered, so E[X^2] = c, E[X^4] = c^2 + sum_k k! |h_k|^2 and
-    kappa4 = Var(X^2) - 2 c^2.
+    kappa4 = Var(X^2) - 2 c^2.  The sum over k is read from the integer
+    numerators of h_k (see :func:`_inner`); no kernel is built.
     """
-    square, c = _square(X)
-    return square.variance() - 2 * c * c
+    c, h = _square(X)
+    return _inner(h, h) - 2 * c * c
 
 
 @dataclass(frozen=True)
@@ -590,7 +623,8 @@ def kappa4_decomposition(Y: SymTensor, Z: SymTensor) -> Kappa4Decomposition:
 
     By the product formula y^2 = cy + I(sy), z^2 = cz + I(sz), yz = I(yz):
     k4y = Var sy - 2 cy^2, cov_sq = sum_k k! <sy_k, sz_k> and, as
-    X^2 = y^2 + 2 yz + z^2, k4x = Var(sy + sz) + 4 Var yz - 2 (cy + cz)^2.
+    X^2 = y^2 + 2 yz + z^2, k4x = Var sy + 2 cov_sq + Var sz + 4 Var yz
+    - 2 (cy + cz)^2, every term read from integer sums (:func:`_inner`).
     Hard invariants: the odd cross moments E[y^3 z] = sum_k k! <sy_k, yz_k>
     and E[y z^3] vanish (yz has no constant and no order of sy or sz),
     Cov(Y^2, Z^2) >= 0, and k4x = k4y + k4z + 6 cov_sq, which holds iff
@@ -600,22 +634,18 @@ def kappa4_decomposition(Y: SymTensor, Z: SymTensor) -> Kappa4Decomposition:
         raise ValueError("kernels must have orders of different parity")
     if Y.dimension != Z.dimension:
         raise ValueError("kernels must share a dimension")
-    d = Y.dimension
-    sy, cy = _square(ChaosElement(d, {Y.order: Y}))
-    sz, cz = _square(ChaosElement(d, {Z.order: Z}))
-    yz, c_yz = _product_sum([(Y, Z, 1)], d)
-    if c_yz or yz.components.keys() & (sy.components.keys() | sz.components.keys()):
+    cy, sy = _product_sum([(Y, Y, 1)])
+    cz, sz = _product_sum([(Z, Z, 1)])
+    c_yz, yz = _product_sum([(Y, Z, 1)])
+    if c_yz or yz.keys() & (sy.keys() | sz.keys()):
         raise RuntimeError("odd cross moments failed to vanish; engine inconsistency")
-    k4y = sy.variance() - 2 * cy * cy
-    k4z = sz.variance() - 2 * cz * cz
-    shared = sy.components.keys() & sz.components.keys()
-    cov_sq = sum(
-        (math.factorial(k) * sy.components[k].inner(sz.components[k]) for k in shared),
-        Fraction(0),
-    )
+    var_y, var_z = _inner(sy, sy), _inner(sz, sz)
+    k4y = var_y - 2 * cy * cy
+    k4z = var_z - 2 * cz * cz
+    cov_sq = _inner(sy, sz)
     if cov_sq < 0:
         raise RuntimeError("Cov(Y^2, Z^2) negative; engine inconsistency")
-    k4x = (sy + sz).variance() + 4 * yz.variance() - 2 * (cy + cz) ** 2
+    k4x = var_y + 2 * cov_sq + var_z + 4 * _inner(yz, yz) - 2 * (cy + cz) ** 2
     if k4x != k4y + k4z + 6 * cov_sq:
         raise RuntimeError("fourth-cumulant split failed; engine inconsistency")
     return Kappa4Decomposition(k4x=k4x, k4y=k4y, k4z=k4z, cov_sq=cov_sq)
@@ -659,8 +689,8 @@ def mixed_term_bound_check(u: SymTensor, v: SymTensor) -> MixedTermBound:
     if u.dimension != v.dimension:
         raise ValueError("kernels must share a dimension")
     # p < q, so G has no order-0 part and E[G] = 0.
-    g, _ = _product_sum([(u, v, Fraction(1, q))], u.dimension, by_r=True)
-    lhs = g.variance()
+    g = _product_sum([(u, v, Fraction(1, q))], by_r=True)[1]
+    lhs = _inner(g, g)
 
     A = (
         Fraction(

@@ -23,6 +23,7 @@ from chaoskit.chaos import (
     ChaosElement,
     SymTensor,
     gamma,
+    gamma_variance,
     kappa4_decomposition,
     mixed_term_bound_check,
     multiple_integral,
@@ -217,11 +218,22 @@ def test_criterion_06_strict_positivity_suite():
     # every pair has a nonzero higher-order kernel by construction
     positive_ok = all(d.k4x > 0 for d in decs)
     assert positive_ok
+    # Var Gamma of X = I_p(Y) + I_q(Z) is positive too; the largest ratio
+    # Var Gamma / kappa4 is printed as a figure, not held to a constant (no
+    # derivation of one is written in docs/)
+    var_gammas = [
+        gamma_variance(ChaosElement(y.dimension, {y.order: y, z.order: z}))
+        for y, z in suite["pairs"]
+    ]
+    assert all(v > 0 for v in var_gammas)
+    ratio = max(v / d.k4x for v, d in zip(var_gammas, decs))
     report(
         6,
         positive_ok,
-        "strict positivity: kappa4(X) > 0 (exact) on the same 50 pairs, higher-"
-        "order component nonzero in each (runtime bundled with criterion 5)",
+        "strict positivity: kappa4(X) > 0 and Var Gamma(X) > 0 (exact) on the same "
+        "50 pairs, higher-order component nonzero in each (runtime bundled with "
+        "criterion 5)",
+        f"max Var Gamma / kappa4 over the pairs: {float(ratio):.6f} (figure only)",
     )
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import full_items, ou_apply, symmetrize
 from test_acceptance import mixed_parity_pairs, mixed_term_pairs, stein_chain_elements
 
+from chaoskit import chaos
 from chaoskit.algebra import ParamPoly
 from chaoskit.chaos import (
     ChaosElement,
@@ -34,7 +36,7 @@ from chaoskit.chaos import (
     product_formula_expand,
     stein_bound,
 )
-from chaoskit.chaos import _contraction_norm_sq
+from chaoskit.chaos import _contraction_norm_sq, _orbit_size
 from chaoskit.cli import _random_chaos_element, _random_sym_tensor
 from chaoskit.counterexamples import counterexample_h1h3
 from chaoskit.montecarlo import FAMILY_NAMES, family_point
@@ -93,6 +95,18 @@ def test_tensor_validation():
             Tensor(dimension, order, entries)
     with pytest.raises(TypeError):
         Tensor(3, 1, {(0,): 0.5})  # not an exact rational
+
+
+def test_orbit_size_is_the_multinomial_count():
+    # every sorted index with p <= 7 and d <= 4: p! / prod m_i! over the
+    # multiplicities m_i; tests/oracles.symmetrize divides by this count
+    for d in range(1, 5):
+        for p in range(8):
+            for idx in itertools.combinations_with_replacement(range(d), p):
+                want = math.factorial(p)
+                for m in Counter(idx).values():
+                    want //= math.factorial(m)
+                assert _orbit_size(idx) == want, idx
 
 
 def test_norms_account_for_orbits():
@@ -538,8 +552,22 @@ def test_stein_bounds_for_h2():
 
 def test_stein_bound_rejects_degenerate():
     x = ChaosElement(1, {1: SymTensor(1, 1, {(0,): 0})})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-degenerate"):
         stein_bound(x)
+
+
+def test_stein_bound_rejects_an_unknown_kind_first(monkeypatch):
+    # the kind is checked before the variance and before Var Gamma
+    with pytest.raises(ValueError, match="unknown bound kind 'bogus'"):
+        stein_bound(ChaosElement(2, {}), "bogus")
+
+    def unreachable(x):
+        raise AssertionError("Var Gamma computed for an unknown kind")
+
+    monkeypatch.setattr(chaos, "gamma_variance", unreachable)
+    x = ChaosElement(1, {2: SymTensor(1, 2, {(0, 0): 1})})
+    with pytest.raises(ValueError, match="unknown bound kind 'bogus'"):
+        stein_bound(x, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +602,37 @@ def test_kappa4_and_gamma_variance_match_polynomial_oracle():
     for x in corpus:
         assert kappa4_exact(x) == cumulant(x.compile(), 4).constant_value()
         assert gamma_variance(x) == polynomial_gamma_variance(x)
+
+
+@pytest.mark.parametrize("d, p", [(5, 4), (12, 2), (6, 3), (3, 5), (4, 1)])
+def test_dense_single_chaos_matches_the_contraction_formulas(d, p):
+    # for F = I_p(u), with s_r = |u (x)~_r u|^2 (Nualart & Peccati 2005;
+    # Nourdin & Peccati 2012): kappa4 = (3/p) sum_r r r!^2 C(p,r)^4
+    # (2p-2r)! s_r and Var Gamma = sum_r (r/p)^2 r!^2 C(p,r)^4 (2p-2r)! s_r,
+    # r = 1..p-1; s_r comes from the full-index contract, which is
+    # independent of the product-formula sums; every sorted index is nonzero
+    rng = random.Random(1900 + 10 * d + p)
+    u = SymTensor(
+        d,
+        p,
+        {
+            idx: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for idx in itertools.combinations_with_replacement(range(d), p)
+        },
+    )
+    k4 = var_gamma = Fraction(0)
+    for r in range(1, p):
+        term = (
+            math.factorial(r) ** 2
+            * math.comb(p, r) ** 4
+            * math.factorial(2 * p - 2 * r)
+            * symmetrize(contract(u, u, r)).norm_sq()
+        )
+        k4 += Fraction(3 * r, p) * term
+        var_gamma += Fraction(r * r, p * p) * term
+    x = ChaosElement(d, {p: u})
+    assert kappa4_exact(x) == k4
+    assert gamma_variance(x) == var_gamma
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
